@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import multiprocessing
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -263,7 +264,11 @@ def cmd_witness(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     if args.emit == "graph6":
-        print(encode_graph6(g))
+        try:
+            print(encode_graph6(g))
+        except GraphFormatError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_ERROR
         return EXIT_TRUE
     report = classify_witness(g)
     print(json.dumps(report.to_dict(), sort_keys=True))
@@ -272,9 +277,21 @@ def cmd_witness(args) -> int:
 
 # -- gen ------------------------------------------------------------------
 
+# Largest n per mode: the labeled walk visits 2^(n(n-1)/2) masks (2^21 at
+# n = 7), and the reduced corpus holds 274668 classes at n = 9 but
+# 12005168 at n = 10.
+GEN_MAX_N_LABELED = 7
+GEN_MAX_N_REDUCED = 9
+
+
 def cmd_gen(args) -> int:
     if args.n < 1:
         print("error: n must be >= 1", file=sys.stderr)
+        return EXIT_ERROR
+    limit = GEN_MAX_N_REDUCED if args.reduce else GEN_MAX_N_LABELED
+    if args.n > limit:
+        mode = "with" if args.reduce else "without"
+        print(f"error: n must be <= {limit} {mode} --reduce", file=sys.stderr)
         return EXIT_ERROR
     if args.reduce:
         graphs = generate.nonisomorphic_graphs(args.n)
@@ -341,7 +358,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors already
         return int(exc.code or 0)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (e.g. `| head`): stop quietly, and
+        # point stdout at devnull so the final flush at exit cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_ERROR
+    return code
 
 
 if __name__ == "__main__":

@@ -3,9 +3,13 @@ reduced representatives, and seeded random graphs.
 
 The labeled enumerator walks every upper-triangle bitmask, so it is exact
 but exponential; it is the ground-truth corpus for n <= 6-7.  For larger
-n the representative corpus (one graph per isomorphism class, built by
-vertex augmentation with invariant-bucketed dedup) verifies the same
-isomorphism-invariant statements at a fraction of the cost.
+n the representative corpus (one graph per isomorphism class) verifies the
+same isomorphism-invariant statements at a fraction of the cost.  It is
+built by vertex augmentation and deduplicated on `canonical_form`, a
+refine-and-individualize canonical labeling in the style of nauty (McKay
+and Piperno, "Practical graph isomorphism II", 2014): two graphs are
+isomorphic exactly when their forms are equal, so a set of forms replaces
+pairwise isomorphism tests.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from itertools import combinations
 from typing import Iterator
 
 from .graph import Graph
-from .patterns import is_isomorphic_small
 
 DEFAULT_SEED = 1729
 
@@ -61,15 +64,113 @@ def refinement_key(g: Graph, rounds: int = 3) -> tuple:
     return (g.n, g.num_edges(), tuple(sorted(colors)))
 
 
+def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> list[int]:
+    """Refine the ordered partition `cells` (vertex bitmasks) in place
+    until it is equitable, splitting each cell by neighbour counts into
+    each splitter; the parts of a split cell keep its place, in increasing
+    count order, and become splitters themselves.  Every choice depends on
+    the cell structure only, never on vertex labels."""
+    n = len(adj)
+    while splitters and len(cells) < n:
+        w = splitters.pop()
+        i = 0
+        while i < len(cells):
+            x = cells[i]
+            if x & (x - 1):
+                parts: dict[int, int] = {}
+                rest = x
+                while rest:
+                    low = rest & -rest
+                    k = (adj[low.bit_length() - 1] & w).bit_count()
+                    parts[k] = parts.get(k, 0) | low
+                    rest ^= low
+                if len(parts) > 1:
+                    split = [parts[k] for k in sorted(parts)]
+                    cells[i:i + 1] = split
+                    splitters.extend(split)
+                    i += len(split)
+                    continue
+            i += 1
+    return cells
+
+
+def canonical_form(g: Graph) -> int:
+    """Canonical certificate: two graphs get the same int iff they are
+    isomorphic.
+
+    The partition {V} is refined to an equitable ordered partition (its
+    first split is by degree); each vertex of the first non-singleton cell
+    is then individualized in turn and the search recurses, down to
+    discrete partitions (leaves).  A leaf orders the vertices, and its certificate
+    is the adjacency matrix relabelled in that order, rows packed below a
+    leading 1 bit (so graphs of different order never collide).  The form
+    is the largest certificate over all leaves.  Twins u, v in the cell
+    being split (N(u) - {v} == N(v) - {u}) are swapped by an automorphism
+    that fixes the current partition, so their subtrees give the same
+    certificates and only the first is searched; this keeps cliques,
+    empty graphs and complete multipartite graphs to one branch per level.
+    Other symmetry is not pruned: k disjoint triangles still search k!
+    branches, which is cheap for the n <= 9 corpora.
+    """
+    adj = g.adj
+    n = g.n
+    best = 0
+
+    def search(cells: list[int]) -> None:
+        nonlocal best
+        for t, x in enumerate(cells):
+            if x & (x - 1):
+                break
+        else:
+            pos = [0] * n
+            for i, c in enumerate(cells):
+                pos[c.bit_length() - 1] = i
+            cert = 1
+            for c in cells:
+                row = 0
+                rest = adj[c.bit_length() - 1]
+                while rest:
+                    low = rest & -rest
+                    row |= 1 << pos[low.bit_length() - 1]
+                    rest ^= low
+                cert = (cert << n) | row
+            if cert > best:
+                best = cert
+            return
+        tried = 0
+        rest = x
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            row = adj[low.bit_length() - 1]
+            others = tried
+            while others:
+                u = others & -others
+                if (row ^ adj[u.bit_length() - 1]) & ~(u | low) == 0:
+                    break
+                others ^= u
+            else:
+                tried |= low
+                search(_refine(adj, cells[:t] + [low, x ^ low] + cells[t + 1:], [low]))
+
+    everything = (1 << n) - 1
+    search(_refine(adj, [everything] if n else [], [everything]))
+    return best
+
+
 def nonisomorphic_graphs(n: int) -> list[Graph]:
     """One representative per isomorphism class of graphs on n vertices.
 
     Built by augmenting the (n-1)-vertex representatives with every
-    possible neighborhood for a new vertex, then deduplicating inside
-    refinement-key buckets with the exact isomorphism test.
+    possible neighborhood for a new vertex, in order; a candidate is kept
+    when its `canonical_form` is new.  The kept graphs are grouped by
+    `refinement_key` (buckets in order of first appearance), which fixes
+    the order of the output: `tests/data/graphs8_reduced.g6` is this list
+    for n = 8.
     """
     if n == 0:
         return [Graph(0)]
+    seen: set[int] = set()
     reps: dict[tuple, list[Graph]] = {}
     for base in nonisomorphic_graphs(n - 1):
         for nbhd in range(1 << (n - 1)):
@@ -82,15 +183,11 @@ def nonisomorphic_graphs(n: int) -> list[Graph]:
                 rows[n - 1] |= 1 << v
                 rest ^= low
             g = Graph.from_rows(tuple(rows))
-            key = refinement_key(g)
-            bucket = reps.setdefault(key, [])
-            if not any(is_isomorphic_small(g, h) for h in bucket):
-                bucket.append(g)
+            form = canonical_form(g)
+            if form not in seen:
+                seen.add(form)
+                reps.setdefault(refinement_key(g), []).append(g)
     return [g for bucket in reps.values() for g in bucket]
-
-
-def two_connected_representatives(n: int) -> list[Graph]:
-    return [g for g in nonisomorphic_graphs(n) if g.is_two_connected()]
 
 
 def random_graph(rng: random.Random, n: int, p: float | None = None) -> Graph:

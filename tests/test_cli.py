@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -151,6 +155,12 @@ def test_witness_odd_n_exit2(capsys):
     assert code == 2 and "error" in err
 
 
+def test_witness_graph6_beyond_tier_exit2(capsys):
+    code, out, err = run(capsys, "witness", "--n", "64", "--emit", "graph6")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_witness_report(capsys):
     code, out, _ = run(capsys, "witness", "--n", "16", "--emit", "report")
     assert code == 0
@@ -164,6 +174,31 @@ def test_gen_two_connected_counts(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 10
     assert all(decode_graph6(s).is_two_connected() for s in lines)
+
+
+@pytest.mark.parametrize("argv", [("--n", "8"), ("--n", "10", "--reduce")],
+                         ids=["labeled", "reduced"])
+def test_gen_size_guard_exit2(capsys, argv):
+    code, out, err = run(capsys, "gen", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+def test_gen_into_closed_pipe_exits_quietly():
+    # the read end is closed before the command starts, so its first write
+    # fails with EPIPE, as when piping into `head -1`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "fanheavy.cli", "gen", "--n", "5"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env,
+                              timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == b""
 
 
 def test_unknown_condition_exit2(tmp_path, capsys):

@@ -10,7 +10,7 @@ from fanheavy.cycles import find_hamilton_cycle
 from fanheavy.generate import nonisomorphic_graphs, two_connected_labeled
 from fanheavy.graphio import encode_graph6
 
-from conftest import DATA, GRAPH_COUNTS
+from conftest import DATA, GRAPH_COUNTS, TWO_CONNECTED_COUNTS
 
 pytestmark = pytest.mark.slow
 
@@ -32,3 +32,9 @@ def test_regenerate_8_vertex_fixture_matches():
     assert len(reps) == GRAPH_COUNTS[8]
     expected = (DATA / "graphs8_reduced.g6").read_text().splitlines()
     assert [encode_graph6(g) for g in reps] == expected
+
+
+def test_generate_9_vertex_class_counts():
+    reps = nonisomorphic_graphs(9)
+    assert len(reps) == GRAPH_COUNTS[9]
+    assert sum(1 for g in reps if g.is_two_connected()) == TWO_CONNECTED_COUNTS[9]
