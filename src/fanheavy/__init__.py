@@ -10,7 +10,7 @@ from .conditions import (ConditionReport, Violation, copy_is_f_heavy,
 from .cycles import (LemmaViolationError, OCycle, expand_o_cycle,
                      find_cycle_through, find_hamilton_cycle, heavy_vertices,
                      make_o_cycle)
-from .graph import Graph, GraphError, build_graph
+from .graph import Graph, GraphError
 from .graphio import (GraphFormatError, decode_graph6, encode_graph6,
                       read_corpus, write_report)
 from .patterns import (Pattern, distance2_pairs, enumerate_induced_copies,
@@ -25,7 +25,7 @@ __all__ = [
     "satisfies_fan", "theorem4_condition", "theorem5_condition",
     "LemmaViolationError", "OCycle", "expand_o_cycle", "find_cycle_through",
     "find_hamilton_cycle", "heavy_vertices", "make_o_cycle",
-    "Graph", "GraphError", "build_graph",
+    "Graph", "GraphError",
     "GraphFormatError", "decode_graph6", "encode_graph6", "read_corpus",
     "write_report",
     "Pattern", "distance2_pairs", "enumerate_induced_copies",

@@ -14,6 +14,7 @@ counterexample found; 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import multiprocessing
 import os
@@ -26,7 +27,7 @@ from .cycles import find_hamilton_cycle
 from .graph import Graph
 from .graphio import (GraphFormatError, decode_edge_list, decode_graph6,
                       encode_graph6, read_corpus)
-from .patterns import pattern, pattern_from_spec
+from .patterns import has_induced_copy, pattern, pattern_from_spec
 from .witness import WitnessSpecError, build_witness, classify_witness
 
 CONDITIONS = ("fan", "2heavy", "f-heavy", "free", "thm4", "thm5")
@@ -45,14 +46,22 @@ def _load_graph(path: str, fmt: str) -> Graph:
             text = fh.read()
     if fmt == "edges":
         return decode_edge_list(text)
-    first = next((ln for ln in text.splitlines() if ln.strip()), "")
-    if fmt == "graph6":
-        return decode_graph6(first)
-    # auto: graph6 lines and edge-list headers are disjoint character sets
+    lines = [ln for ln in text.splitlines() if ln.strip()]
     try:
-        return decode_graph6(first)
+        g = decode_graph6(lines[0] if lines else "")
     except GraphFormatError:
+        if fmt == "graph6":
+            raise
+        # auto: graph6 lines and edge-list headers are disjoint character sets
         return decode_edge_list(text)
+    if len(lines) > 1:
+        raise GraphFormatError(f"check takes one graph, the input has {len(lines)} graph6 lines")
+    return g
+
+
+def _open_corpus(path: str):
+    """Context manager over a corpus file, or over stdin for '-' (left open)."""
+    return contextlib.nullcontext(sys.stdin) if path == "-" else open(path)
 
 
 def _patterns_arg(spec: str):
@@ -75,7 +84,6 @@ def evaluate_condition(g: Graph, name: str, patterns_spec: str) -> conditions.Co
         return conditions.is_family_f_heavy(g, _patterns_arg(patterns_spec))
     if name == "free":
         for p in _patterns_arg(patterns_spec):
-            from .patterns import has_induced_copy
             copy = has_induced_copy(g, p)
             if copy is not None:
                 return conditions.ConditionReport(
@@ -140,10 +148,9 @@ class VerificationSummary:
         }
 
 
-def _verify_one(task: tuple[str, str, bool]) -> tuple[bool, bool, bool]:
-    """(g6, theorem, require_2connected) -> (gate, hypothesis, hamiltonian)."""
-    line, theorem, gate2 = task
-    g = decode_graph6(line)
+def _verify_one(task: tuple[Graph, str, bool]) -> tuple[bool, bool, bool]:
+    """(graph, theorem, require_2connected) -> (gate, hypothesis, hamiltonian)."""
+    g, theorem, gate2 = task
     if gate2 and not g.is_two_connected():
         return (False, False, False)
     hyp = theorem_hypothesis(g, theorem).verdict
@@ -157,25 +164,15 @@ def verify_corpus(lines, theorem: str, require_2connected: bool = True,
                   workers: int = 1) -> VerificationSummary:
     summary = VerificationSummary()
     t0 = time.monotonic()
-    g6_lines = []
-    for line_no, raw in enumerate(lines, start=1):
-        s = raw.strip()
-        if not s:
-            continue
-        try:
-            decode_graph6(s)
-        except GraphFormatError as exc:
-            summary.parse_errors.append((line_no, str(exc)))
-            continue
-        g6_lines.append(s)
-    summary.corpus_size = len(g6_lines)
-    tasks = [(s, theorem, require_2connected) for s in g6_lines]
+    graphs = [g for _index, g in read_corpus(lines, errors=summary.parse_errors)]
+    summary.corpus_size = len(graphs)
+    tasks = [(g, theorem, require_2connected) for g in graphs]
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
             results = pool.map(_verify_one, tasks, chunksize=256)
     else:
         results = [_verify_one(t) for t in tasks]
-    for s, (gate, hyp, ham) in zip(g6_lines, results):
+    for g, (gate, hyp, ham) in zip(graphs, results):
         if gate:
             summary.gate_passed += 1
         if hyp:
@@ -183,23 +180,18 @@ def verify_corpus(lines, theorem: str, require_2connected: bool = True,
             if ham:
                 summary.hamiltonian += 1
             else:
-                summary.counterexamples.append(s)
+                # the input line less any header (decoding checks length, padding)
+                summary.counterexamples.append(encode_graph6(g))
     summary.seconds = time.monotonic() - t0
     return summary
 
 
 def cmd_verify(args) -> int:
     try:
-        if args.corpus == "-":
-            lines = sys.stdin
-            summary = verify_corpus(lines, args.theorem,
+        with _open_corpus(args.corpus) as fh:
+            summary = verify_corpus(fh, args.theorem,
                                     require_2connected=not args.no_2connected_gate,
                                     workers=args.workers)
-        else:
-            with open(args.corpus) as fh:
-                summary = verify_corpus(fh, args.theorem,
-                                        require_2connected=not args.no_2connected_gate,
-                                        workers=args.workers)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -243,11 +235,8 @@ def hunt(lines, r_name: str, s_name: str, max_n: int | None = None) -> HuntResul
 
 def cmd_hunt(args) -> int:
     try:
-        if args.corpus == "-":
-            result = hunt(sys.stdin, args.r, args.s, args.max_n)
-        else:
-            with open(args.corpus) as fh:
-                result = hunt(fh, args.r, args.s, args.max_n)
+        with _open_corpus(args.corpus) as fh:
+            result = hunt(fh, args.r, args.s, args.max_n)
     except (OSError, ValueError, GraphFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -308,8 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="fanheavy",
         description="Heavy-condition Hamiltonicity checks over small-graph corpora")
-    ap.add_argument("--seed", type=int, default=generate.DEFAULT_SEED,
-                    help="seed for randomized subcommands (default %(default)s)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="evaluate one condition on one graph")

@@ -1,8 +1,9 @@
 """Exact cycle search: Hamilton cycles, cycles through a required vertex
 set (heavy cycles), and Ore-cycle expansion to real cycles.
 
-All solvers are deterministic: extension starts from the lowest-numbered
-admissible vertex and neighbors are tried in ascending order.  Returned
+One backtracker (`_cycle_search`) serves both solvers: a Hamilton cycle
+is a cycle through every vertex.  It is deterministic: the path starts at
+the lowest required vertex and neighbors are tried in ascending order.  Returned
 cycles are normalized (minimum vertex first, second element smaller than
 the last) so fixtures compare by equality.
 """
@@ -68,52 +69,54 @@ def heavy_vertices(g: Graph) -> tuple[int, ...]:
     return tuple(v for v in range(g.n) if 2 * g.degree(v) >= g.n)
 
 
-def find_hamilton_cycle(g: Graph) -> tuple[int, ...] | None:
-    """Exact backtracking Hamilton-cycle search; None iff non-Hamiltonian."""
-    n = g.n
-    if n < 3:
-        return None
-    # necessary conditions, checked up front
-    if any(g.degree(v) < 2 for v in range(n)):
-        return None
-    if not g.is_two_connected():
-        return None
+def _cycle_search(g: Graph, start: int, req_mask: int) -> tuple[int, ...] | None:
+    """First cycle in DFS order through `start` and all of `req_mask`.
+
+    The rest of the cycle is a path from `current` back to `start` through
+    unvisited vertices.  A branch is cut when no such path can exist: a
+    missing required vertex has < 2 neighbors among the unvisited vertices,
+    `start` and `current`, or the vertices reachable from `current` through
+    unvisited ones miss a required vertex or every neighbor of `start`.
+    Both cuts are sound, so the first cycle found does not depend on them.
+    """
+    adj = g.adj
     full = g.full_mask()
-    path = [0]
+    path = [start]
 
     def extend(current: int, visited: int) -> bool:
-        if visited == full:
-            return (g.adj[current] >> 0) & 1 == 1
-        remaining = full & ~visited
-        # prune: every unvisited vertex still needs 2 usable connections
-        # (to other unvisited vertices, the path head 0, or `current`)
-        usable = remaining | (1 << 0) | (1 << current)
-        for v in iter_bits(remaining):
-            if (g.adj[v] & usable).bit_count() < 2:
+        missing = req_mask & ~visited
+        if not missing and len(path) >= 3 and (adj[current] >> start) & 1:
+            return True
+        unvisited = full & ~visited
+        here = 1 << current
+        usable = unvisited | here | (1 << start)
+        for v in iter_bits(missing):
+            if (adj[v] & usable).bit_count() < 2:
                 return False
-        # prune: all unvisited vertices reachable from current without
-        # re-entering the path
-        if g.reachable_from(1 << current, remaining | (1 << current)) \
-                != remaining | (1 << current):
+        reach = g.reachable_from(here, unvisited | here)
+        if missing & ~reach or not reach & adj[start]:
             return False
-        for w in iter_bits(g.adj[current] & remaining):
+        for w in iter_bits(adj[current] & unvisited):
             path.append(w)
             if extend(w, visited | (1 << w)):
                 return True
             path.pop()
         return False
 
-    if extend(0, 1):
-        return normalize_cycle(path)
-    return None
+    return normalize_cycle(path) if extend(start, 1 << start) else None
+
+
+def find_hamilton_cycle(g: Graph) -> tuple[int, ...] | None:
+    """Exact backtracking Hamilton-cycle search; None iff non-Hamiltonian."""
+    # 2-connectivity is necessary, and for n >= 3 it implies min degree >= 2
+    if g.n < 3 or not g.is_two_connected():
+        return None
+    return _cycle_search(g, 0, g.full_mask())
 
 
 def find_cycle_through(g: Graph, required: set[int] | tuple[int, ...]) -> tuple[int, ...] | None:
-    """Some cycle whose vertex set contains `required`, or None.
-
-    Exact search: Hamiltonicity-style backtracking in which vertices
-    outside the required set are optional.
-    """
+    """Some cycle whose vertex set contains `required`, or None; the
+    other vertices are optional."""
     req = sorted(set(required))
     for v in req:
         g._check(v)
@@ -126,34 +129,10 @@ def find_cycle_through(g: Graph, required: set[int] | tuple[int, ...]) -> tuple[
             if c is not None:
                 return c
         return None
-    start = req[0]
     req_mask = 0
     for v in req:
         req_mask |= 1 << v
-    full = g.full_mask()
-    path = [start]
-
-    def extend(current: int, visited: int) -> tuple[int, ...] | None:
-        missing = req_mask & ~visited
-        if not missing and len(path) >= 3 and (g.adj[current] >> start) & 1:
-            return normalize_cycle(path)
-        # prune: all missing required vertices and the start must be
-        # reachable from current through unvisited territory
-        allowed = (full & ~visited) | (1 << current) | (1 << start)
-        reach = g.reachable_from(1 << current, allowed)
-        if missing & ~reach:
-            return None
-        if not (reach >> start) & 1:
-            return None
-        for w in iter_bits(g.adj[current] & full & ~visited):
-            path.append(w)
-            got = extend(w, visited | (1 << w))
-            if got is not None:
-                return got
-            path.pop()
-        return None
-
-    return extend(start, 1 << start)
+    return _cycle_search(g, req[0], req_mask)
 
 
 def expand_o_cycle(g: Graph, oc: OCycle) -> tuple[int, ...]:

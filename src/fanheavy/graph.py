@@ -44,6 +44,10 @@ class Graph:
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
+    def __reduce__(self):
+        # default unpickling restores slots with setattr, which raises here
+        return (Graph.from_rows, (self.adj,))
+
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
@@ -205,10 +209,6 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    return Graph(n, edges)
 
 
 def complete_graph(n: int) -> Graph:

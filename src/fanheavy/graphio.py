@@ -3,18 +3,21 @@
 graph6 per the de-facto standard: size byte 63+n for n <= 62, then the
 upper-triangle adjacency bits in column order x(0,1), x(0,2), x(1,2),
 x(0,3), ... packed big-endian 6 bits per character, each character +63.
-Only the single-byte size tier is implemented.
+Only the single-byte size tier is implemented.  A line may start with the
+optional `>>graph6<<` header.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .graph import Graph
 
 GRAPH6_MAX_N = 62
+# optional file header, written e.g. by networkx `write_graph6(..., header=True)`
+GRAPH6_HEADER = ">>graph6<<"
 
 
 class GraphFormatError(ValueError):
@@ -48,6 +51,8 @@ def encode_graph6(g: Graph) -> str:
 
 def decode_graph6(line: str) -> Graph:
     s = line.strip()
+    if s.startswith(GRAPH6_HEADER):
+        s = s[len(GRAPH6_HEADER):]
     if not s:
         raise GraphFormatError("empty graph6 line")
     for ch in s:
@@ -62,7 +67,6 @@ def decode_graph6(line: str) -> Graph:
         raise GraphFormatError(
             f"expected {need} data characters for n={n}, got {len(data)}")
     rows = [0] * n
-    k = 0  # bit cursor over the upper triangle
     col, row = 1, 0
     for ch in data:
         val = ord(ch) - 63
@@ -78,7 +82,6 @@ def decode_graph6(line: str) -> Graph:
             if row == col:
                 col += 1
                 row = 0
-            k += 1
     return Graph.from_rows(tuple(rows))
 
 
@@ -118,7 +121,6 @@ def encode_edge_list(g: Graph) -> str:
 
 def read_corpus(
     lines: Iterable[str],
-    fmt: str = "graph6",
     errors: list[tuple[int, str]] | None = None,
 ) -> Iterator[tuple[int, Graph]]:
     """Yield (corpus index, Graph) per non-empty line.
@@ -127,8 +129,6 @@ def read_corpus(
     unless an `errors` list is supplied, in which case the failure is
     appended as (line_no, message) and streaming continues.
     """
-    if fmt != "graph6":
-        raise ValueError(f"unsupported corpus format {fmt!r}")
     index = 0
     for line_no, raw in enumerate(lines, start=1):
         s = raw.strip()

@@ -1,4 +1,8 @@
-"""Catalog of the small pattern graphs and induced-copy enumeration.
+"""Catalog of the small pattern graphs and induced-copy search.
+
+One backtracking search (`_induced_copies`) serves both entry points:
+`enumerate_induced_copies` collects every copy, `has_induced_copy` stops
+at the first.
 
 Canonical pattern numbering (frozen so fixtures stay stable):
   claw       center 0, ends 1..3
@@ -10,8 +14,9 @@ Canonical pattern numbering (frozen so fixtures stay stable):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
-from .graph import Graph, iter_bits, path_graph
+from .graph import Graph, path_graph
 
 ISO_MAX_N = 10
 
@@ -47,19 +52,11 @@ _CATALOG = {
 CATALOG_NAMES = tuple(_CATALOG)
 
 
-def pattern(name: str, custom: Graph | None = None) -> Pattern:
+def pattern(name: str) -> Pattern:
     key = name.lower()
-    if key == "custom":
-        if custom is None:
-            raise ValueError("custom pattern requires a graph")
-        return Pattern("custom", custom)
     if key not in _CATALOG:
         raise ValueError(f"unknown pattern {name!r} (known: {', '.join(CATALOG_NAMES)})")
     return Pattern(key, _CATALOG[key]())
-
-
-def custom_pattern(name: str, graph: Graph) -> Pattern:
-    return Pattern(name, graph)
 
 
 def pattern_from_spec(token: str) -> Pattern:
@@ -149,77 +146,55 @@ def _search_order(p: Graph) -> list[int]:
     return order
 
 
-def enumerate_induced_copies(g: Graph, p: Pattern) -> list[tuple[int, ...]]:
-    """All vertex subsets of `g` inducing a copy of the pattern.
+def _induced_copies(g: Graph, p: Pattern) -> Iterator[tuple[int, ...]]:
+    """Yield the sorted host vertex set of every embedding of the pattern.
 
-    Returns each copy once as a sorted tuple; the list is sorted
-    lexicographically.  Pattern-guided backtracking: pattern vertices are
-    mapped one at a time and candidates are pruned with bitset masks from
-    the adjacency/non-adjacency to already-mapped vertices.
+    Pattern vertices are mapped one at a time in `_search_order`.  The
+    candidates of each position are the hosts adjacent to the images of
+    its pattern neighbours and non-adjacent to (and distinct from) the
+    other mapped images.  An explicit stack holds the untried candidates
+    of each position, and the lowest host is tried first.  A copy is
+    yielded once per automorphism of the pattern.
     """
     pg = p.graph
     k = pg.n
     if k == 0 or k > g.n:
-        return []
+        return
     order = _search_order(pg)
+    # links[pos]: (earlier position, adjacent in the pattern) pairs
+    links = [[(j, (pg.adj[order[pos]] >> order[j]) & 1) for j in range(pos)]
+             for pos in range(k)]
+    adj = g.adj
     full = g.full_mask()
-    found: set[tuple[int, ...]] = set()
     image = [0] * k
+    stack = [full]
+    while stack:
+        pos = len(stack) - 1
+        cands = stack[pos]
+        if not cands:
+            stack.pop()
+            continue
+        low = cands & -cands
+        stack[pos] = cands ^ low
+        image[pos] = low.bit_length() - 1
+        if pos + 1 == k:
+            yield tuple(sorted(image))
+            continue
+        mask = full
+        for j, adjacent in links[pos + 1]:
+            host = image[j]
+            mask &= adj[host] if adjacent else ~(adj[host] | (1 << host))
+        stack.append(mask)
 
-    def extend(pos: int, used: int) -> None:
-        if pos == k:
-            found.add(tuple(sorted(image)))
-            return
-        pv = order[pos]
-        mask = full & ~used
-        for prev_pos in range(pos):
-            host = image[prev_pos]
-            if (pg.adj[pv] >> order[prev_pos]) & 1:
-                mask &= g.adj[host]
-            else:
-                mask &= ~g.adj[host]
-        for cand in iter_bits(mask):
-            image[pos] = cand
-            extend(pos + 1, used | (1 << cand))
 
-    extend(0, 0)
-    return sorted(found)
+def enumerate_induced_copies(g: Graph, p: Pattern) -> list[tuple[int, ...]]:
+    """All vertex subsets of `g` inducing a copy of the pattern, each once
+    as a sorted tuple, in lexicographic order."""
+    return sorted(set(_induced_copies(g, p)))
 
 
 def has_induced_copy(g: Graph, p: Pattern) -> tuple[int, ...] | None:
-    """Early-exit variant of enumerate_induced_copies.
-
-    Returns the first copy hit by the deterministic search order (not
-    necessarily the lexicographically smallest subset), or None when the
-    host is pattern-free.
-    """
-    pg = p.graph
-    k = pg.n
-    if k == 0 or k > g.n:
-        return None
-    order = _search_order(pg)
-    full = g.full_mask()
-    image = [0] * k
-    hit: list[tuple[int, ...]] = []
-
-    def extend(pos: int, used: int) -> bool:
-        if pos == k:
-            hit.append(tuple(sorted(image[:k])))
-            return True
-        pv = order[pos]
-        mask = full & ~used
-        for prev_pos in range(pos):
-            host = image[prev_pos]
-            if (pg.adj[pv] >> order[prev_pos]) & 1:
-                mask &= g.adj[host]
-            else:
-                mask &= ~g.adj[host]
-        for cand in iter_bits(mask):
-            image[pos] = cand
-            if extend(pos + 1, used | (1 << cand)):
-                return True
-        return False
-
-    if extend(0, 0):
-        return hit[0]
-    return None
+    """The first copy in search order (not necessarily the
+    lexicographically smallest subset), or None when the host is
+    pattern-free."""
+    return next(_induced_copies(g, p), None)

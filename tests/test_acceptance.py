@@ -29,7 +29,7 @@ from fanheavy.generate import (labeled_graphs, random_graph, random_o_cycle,
                                two_connected_labeled)
 from fanheavy.graph import Graph, complete_graph, cycle_graph, path_graph
 from fanheavy.graphio import decode_graph6, encode_graph6
-from fanheavy.patterns import (CATALOG_NAMES, enumerate_induced_copies,
+from fanheavy.patterns import (CATALOG_NAMES, Pattern, enumerate_induced_copies,
                                is_isomorphic_small, pattern)
 from fanheavy.witness import build_witness, classify_witness
 
@@ -123,7 +123,7 @@ def test_criterion_04_implications(implication_corpus):
 def test_criterion_05_definition_identities(implication_corpus):
     pats = [pattern(name) for name in CATALOG_NAMES]
     p7 = pattern("p7")
-    long_paths = [pattern("custom", custom=path_graph(k)) for k in (8, 9)]
+    long_paths = [Pattern(f"p{k}", path_graph(k)) for k in (8, 9)]
     violations = 0
     for g in implication_corpus:
         for p in pats:

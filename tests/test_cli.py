@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import networkx as nx
 import pytest
 
 from fanheavy.cli import main
@@ -47,6 +48,43 @@ def test_check_malformed_exit2(tmp_path, capsys):
                        "--fmt", "graph6")
     assert code == 2
     assert "error" in err
+
+
+def write_nx_g6(tmp_path, name, *graphs):
+    """graph6 file as networkx writes it with header=True: the header
+    prefixes the first line."""
+    path = tmp_path / name
+    path.write_bytes(b"".join(nx.to_graph6_bytes(g, header=i == 0)
+                              for i, g in enumerate(graphs)))
+    return str(path)
+
+
+@pytest.mark.parametrize("fmt", ["auto", "graph6"])
+def test_check_accepts_graph6_header(tmp_path, capsys, fmt):
+    path = write_nx_g6(tmp_path, "c5.g6", nx.cycle_graph(5))
+    assert Path(path).read_text().startswith(">>graph6<<")
+    code, out, err = run(capsys, "check", path, "--condition", "fan", "--fmt", fmt)
+    assert code == 1 and err == ""
+    assert json.loads(out)["violations"][0]["pair"] == [0, 2]
+
+
+def test_verify_accepts_graph6_header(tmp_path, capsys):
+    path = write_nx_g6(tmp_path, "corpus.g6", nx.complete_graph(4), nx.cycle_graph(5),
+                       nx.petersen_graph())
+    code, out, _ = run(capsys, "verify", "--corpus", path, "--theorem", "thm5")
+    assert code == 0
+    summary = json.loads(out)
+    assert (summary["corpus_size"], summary["parse_errors"]) == (3, [])
+    assert (summary["gate_passed"], summary["hypothesis_passed"]) == (3, 2)
+
+
+@pytest.mark.parametrize("fmt", ["auto", "graph6"])
+def test_check_rejects_extra_graphs(tmp_path, capsys, fmt):
+    path = write_g6(tmp_path, "two.g6", complete_graph(4), cycle_graph(5))
+    code, out, err = run(capsys, "check", path, "--condition", "thm5", "--fmt", fmt)
+    assert code == 2 and out == ""
+    # the graph6 error, not an edge-list parse of the same text
+    assert err.startswith("error:") and "2 graph6 lines" in err
 
 
 def test_check_edge_list_input(tmp_path, capsys):
@@ -98,13 +136,20 @@ def test_verify_reports_parse_errors_and_continues(tmp_path, capsys):
 
 def test_verify_workers_match_serial(tmp_path, capsys):
     graphs = [complete_graph(n) for n in range(3, 8)] + [petersen(), cycle_graph(6)]
-    path = write_g6(tmp_path, "corpus.g6", *graphs)
-    _, out1, _ = run(capsys, "verify", "--corpus", path, "--theorem", "thm4")
-    _, out2, _ = run(capsys, "verify", "--corpus", path, "--theorem", "thm4",
-                     "--workers", "2")
-    s1, s2 = json.loads(out1), json.loads(out2)
-    s1.pop("seconds"), s2.pop("seconds")
-    assert s1 == s2
+    path = tmp_path / "corpus.g6"
+    # a malformed line, and K2 ("A_"): without the gate it passes the fan
+    # hypothesis (no distance-2 pair) and is not Hamiltonian
+    path.write_text("".join(encode_graph6(g) + "\n" for g in graphs) + "!!bad!!\nA_\n")
+    for argv, counterexamples in ((("--theorem", "thm4"), []),
+                                  (("--theorem", "thm1", "--no-2connected-gate"), ["A_"])):
+        code1, out1, _ = run(capsys, "verify", "--corpus", path, *argv)
+        code2, out2, _ = run(capsys, "verify", "--corpus", path, *argv, "--workers", "2")
+        s1, s2 = json.loads(out1), json.loads(out2)
+        s1.pop("seconds"), s2.pop("seconds")
+        assert s1 == s2 and code1 == code2 == (1 if counterexamples else 0)
+        assert s1["counterexamples"] == counterexamples
+        assert s1["corpus_size"] == 8
+        assert [e["line"] for e in s1["parse_errors"]] == [8]
 
 
 def test_hunt_empty_corpus(tmp_path, capsys):

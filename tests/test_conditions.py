@@ -8,7 +8,7 @@ from fanheavy.conditions import (copy_is_f_heavy, is_2_heavy, is_R_f_heavy,
                                  satisfies_fan, theorem4_condition,
                                  theorem5_condition)
 from fanheavy.graph import Graph, complete_graph, cycle_graph, path_graph
-from fanheavy.patterns import CATALOG_NAMES, pattern, path_graph as _pg
+from fanheavy.patterns import CATALOG_NAMES, Pattern, pattern, path_graph as _pg
 
 from conftest import k23
 
@@ -145,8 +145,8 @@ def test_p7_f_heavy_implies_longer_path_f_heavy():
     # custom longer paths
     rng = random.Random(41)
     p7 = pattern("p7")
-    p8 = pattern("custom", custom=_pg(8))
-    p9 = pattern("custom", custom=_pg(9))
+    p8 = Pattern("p8", _pg(8))
+    p9 = Pattern("p9", _pg(9))
     for _ in range(200):
         g = random_graph(rng, rng.randint(7, 11))
         if is_R_f_heavy(g, p7).verdict:

@@ -51,6 +51,14 @@ def test_hamilton_agrees_with_brute_force():
         assert (find_hamilton_cycle(g) is not None) == hamiltonian_brute_force(g)
 
 
+def test_cycle_through_all_vertices_is_hamilton_search(two_connected_by_n):
+    # both entry points share one backtracker: requiring every vertex
+    # must return the very cycle the Hamilton search returns
+    for n in range(3, 8):
+        for g in two_connected_by_n[n]:
+            assert find_cycle_through(g, range(g.n)) == find_hamilton_cycle(g)
+
+
 def test_heavy_vertices_examples():
     assert heavy_vertices(complete_graph(4)) == (0, 1, 2, 3)
     assert heavy_vertices(cycle_graph(5)) == ()

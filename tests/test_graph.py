@@ -1,9 +1,11 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanheavy.graph import (Graph, GraphError, build_graph, complete_graph,
-                            cycle_graph, path_graph)
+from fanheavy.graph import (Graph, GraphError, complete_graph, cycle_graph,
+                            path_graph)
 
 
 def graphs(max_n=8):
@@ -25,37 +27,37 @@ def graphs(max_n=8):
 
 
 def test_build_k4():
-    g = build_graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+    g = Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
     assert all(g.degree(v) == 3 for v in range(4))
 
 
 def test_build_empty():
-    g = build_graph(3, [])
+    g = Graph(3, [])
     assert all(g.degree(v) == 0 for v in range(3))
 
 
 def test_build_c5():
-    g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     assert all(g.degree(v) == 2 for v in range(5))
 
 
 def test_build_dedups_and_symmetry():
-    g = build_graph(3, [(0, 1), (1, 0), (0, 1)])
+    g = Graph(3, [(0, 1), (1, 0), (0, 1)])
     assert g.num_edges() == 1
     assert g.has_edge(1, 0)
 
 
 def test_build_rejects_bad_input():
     with pytest.raises(GraphError):
-        build_graph(3, [(0, 3)])
+        Graph(3, [(0, 3)])
     with pytest.raises(GraphError):
-        build_graph(3, [(1, 1)])
+        Graph(3, [(1, 1)])
     with pytest.raises(GraphError):
         Graph(-1)
 
 
 def test_degree_examples():
-    star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
+    star = Graph(4, [(0, 1), (0, 2), (0, 3)])
     assert star.degree(0) == 3
     assert star.degree(1) == 1
     with pytest.raises(GraphError):
@@ -108,6 +110,15 @@ def test_graph_is_immutable_and_hashable():
         g.n = 5
     assert g == cycle_graph(4)
     assert hash(g) == hash(cycle_graph(4))
+
+
+def test_graph_pickle_roundtrip():
+    # worker processes receive graphs by pickle
+    for g in (Graph(0), cycle_graph(5), complete_graph(7)):
+        back = pickle.loads(pickle.dumps(g))
+        assert back == g and back.adj == g.adj
+        with pytest.raises(AttributeError):
+            back.n = 1
 
 
 @given(graphs())

@@ -17,6 +17,16 @@ def test_decode_known_lines():
     assert decode_graph6("C~") == complete_graph(4)
 
 
+def test_decode_strips_header():
+    for ref, g in ((nx.complete_graph(2), complete_graph(2)),
+                   (nx.cycle_graph(7), cycle_graph(7))):
+        line = nx.to_graph6_bytes(ref, header=True).decode()
+        assert line.startswith(">>graph6<<")
+        assert decode_graph6(line) == g
+    with pytest.raises(GraphFormatError):
+        decode_graph6(">>graph6<<")
+
+
 def test_encode_known_graphs():
     assert encode_graph6(Graph(1)) == "@"
     assert encode_graph6(complete_graph(4)) == "C~"

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from fanheavy.graph import Graph, complete_graph, cycle_graph, path_graph
-from fanheavy.patterns import (CATALOG_NAMES, distance2_pairs,
+from fanheavy.patterns import (CATALOG_NAMES, Pattern, distance2_pairs,
                                enumerate_induced_copies, has_induced_copy,
                                is_isomorphic_small, pattern)
 
@@ -42,11 +42,11 @@ def test_unknown_pattern_rejected():
     with pytest.raises(ValueError):
         pattern("p99")
     with pytest.raises(ValueError):
-        pattern("custom")  # needs a supplied graph
+        pattern("custom")  # only catalog names; build other patterns directly
 
 
 def test_custom_pattern():
-    p = pattern("custom", custom=cycle_graph(4))
+    p = Pattern("c4", cycle_graph(4))
     assert len(enumerate_induced_copies(complete_graph(4), p)) == 0
     assert enumerate_induced_copies(cycle_graph(4), p) == [(0, 1, 2, 3)]
 

@@ -1,0 +1,29 @@
+"""The benchmark's per-layer tracer patches program functions by name.
+
+`bench/spans.py` lists them; a rename or deletion in `fanheavy` would
+make `bench/run.py --trace 1` fail, so every listed name must resolve.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_names_resolve():
+    spans = _load_spans()
+    assert spans.FUNCTIONS and spans.METHODS
+    for mod_name, fn_name, _suffix, _outcome in spans.FUNCTIONS:
+        module = importlib.import_module(f"{spans.PACKAGE}.{mod_name}")
+        assert callable(getattr(module, fn_name, None)), f"{mod_name}.{fn_name}"
+    for mod_name, cls_name, meth in spans.METHODS:
+        cls = getattr(importlib.import_module(f"{spans.PACKAGE}.{mod_name}"), cls_name)
+        assert callable(cls.__dict__.get(meth)), f"{mod_name}.{cls_name}.{meth}"

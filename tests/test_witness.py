@@ -77,6 +77,15 @@ def test_classify_witness_flags(n):
         assert 2 * g.degree(u) < n and 2 * g.degree(w) < n
 
 
+def test_witness_16_report_pinned():
+    flags = classify_witness(build_witness(16)).to_dict()["flags"]
+    assert flags["hamiltonian"]["detail"]["cycle"] == \
+        [0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 14, 12, 8, 13, 15, 11]
+    (p7,) = flags["thm4_condition"]["detail"]["violations"]
+    assert (p7["pattern"], p7["subset"]) == ("p7", [0, 8, 10, 12, 13, 14, 15])
+    assert flags["fan_condition"]["detail"]["violations"][0]["pair"] == [8, 14]
+
+
 def test_classify_witness_reproducible():
     g = build_witness(16)
     assert classify_witness(g).to_dict() == classify_witness(g).to_dict()
