@@ -11,10 +11,8 @@ from .cycles import (LemmaViolationError, OCycle, expand_o_cycle,
                      find_cycle_through, find_hamilton_cycle, heavy_vertices,
                      make_o_cycle)
 from .graph import Graph, GraphError
-from .graphio import (GraphFormatError, decode_graph6, encode_graph6,
-                      read_corpus, write_report)
-from .patterns import (Pattern, distance2_pairs, enumerate_induced_copies,
-                       is_isomorphic_small, pattern)
+from .graphio import GraphFormatError, decode_graph6, encode_graph6, read_corpus
+from .patterns import Pattern, enumerate_induced_copies, is_isomorphic_small, pattern
 from .witness import build_witness, classify_witness
 
 __version__ = "0.1.0"
@@ -27,8 +25,6 @@ __all__ = [
     "find_hamilton_cycle", "heavy_vertices", "make_o_cycle",
     "Graph", "GraphError",
     "GraphFormatError", "decode_graph6", "encode_graph6", "read_corpus",
-    "write_report",
-    "Pattern", "distance2_pairs", "enumerate_induced_copies",
-    "is_isomorphic_small", "pattern",
+    "Pattern", "enumerate_induced_copies", "is_isomorphic_small", "pattern",
     "build_witness", "classify_witness",
 ]

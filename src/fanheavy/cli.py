@@ -38,22 +38,17 @@ EXIT_FALSE = 1
 EXIT_ERROR = 2
 
 
-def _load_graph(path: str, fmt: str) -> Graph:
+def _load_graph(path: str) -> Graph:
     if path == "-":
         text = sys.stdin.read()
     else:
         with open(path) as fh:
             text = fh.read()
-    if fmt == "edges":
-        return decode_edge_list(text)
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    try:
-        g = decode_graph6(lines[0] if lines else "")
-    except GraphFormatError:
-        if fmt == "graph6":
-            raise
-        # auto: graph6 lines and edge-list headers are disjoint character sets
+    # graph6 has no whitespace, and an edge-list header "n m" has
+    if not lines or len(lines[0].split()) > 1:
         return decode_edge_list(text)
+    g = decode_graph6(lines[0])
     if len(lines) > 1:
         raise GraphFormatError(f"check takes one graph, the input has {len(lines)} graph6 lines")
     return g
@@ -100,17 +95,12 @@ def evaluate_condition(g: Graph, name: str, patterns_spec: str) -> conditions.Co
 
 def cmd_check(args) -> int:
     try:
-        g = _load_graph(args.file, args.fmt)
+        g = _load_graph(args.file)
         rep = evaluate_condition(g, args.condition, args.patterns)
     except (GraphFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    if args.format == "json":
-        print(json.dumps(rep.to_dict(), sort_keys=True))
-    else:
-        print(f"condition={rep.condition} verdict={rep.verdict}")
-        for v in rep.violations:
-            print(f"  violation: {json.dumps(v.to_dict(), sort_keys=True)}")
+    print(json.dumps(rep.to_dict(), sort_keys=True))
     return EXIT_TRUE if rep.verdict else EXIT_FALSE
 
 
@@ -206,38 +196,36 @@ class HuntResult:
     triple: tuple[str, str, str]
     counterexample: str | None
     scanned: int
+    parse_errors: list[tuple[int, str]]
 
     def to_dict(self) -> dict:
         return {
             "triple": list(self.triple),
             "counterexample": self.counterexample,
             "scanned": self.scanned,
+            "parse_errors": [{"line": ln, "error": msg} for ln, msg in self.parse_errors],
         }
 
 
-def hunt(lines, r_name: str, s_name: str, max_n: int | None = None) -> HuntResult:
+def hunt(lines, r_name: str, s_name: str) -> HuntResult:
     family = [pattern("claw"), pattern_from_spec(r_name), pattern_from_spec(s_name)]
     triple = ("claw", family[1].name, family[2].name)
     errors: list[tuple[int, str]] = []
     scanned = 0
     for _idx, g in read_corpus(lines, errors=errors):
-        if max_n is not None and g.n > max_n:
-            continue
         scanned += 1
-        if not g.is_two_connected():
-            continue
-        if not conditions.is_family_f_heavy(g, family).verdict:
-            continue
-        if find_hamilton_cycle(g) is None:
-            return HuntResult(triple, encode_graph6(g), scanned)
-    return HuntResult(triple, None, scanned)
+        # the Hamilton check first: few graphs reach the pattern searches
+        if (g.is_two_connected() and find_hamilton_cycle(g) is None
+                and conditions.is_family_f_heavy(g, family).verdict):
+            return HuntResult(triple, encode_graph6(g), scanned, errors)
+    return HuntResult(triple, None, scanned, errors)
 
 
 def cmd_hunt(args) -> int:
     try:
         with _open_corpus(args.corpus) as fh:
-            result = hunt(fh, args.r, args.s, args.max_n)
-    except (OSError, ValueError, GraphFormatError) as exc:
+            result = hunt(fh, args.r, args.s)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     print(json.dumps(result.to_dict(), sort_keys=True))
@@ -304,9 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--condition", required=True, choices=CONDITIONS)
     p.add_argument("--patterns", default="claw,p7,deer",
                    help="comma-separated pattern names for f-heavy/free")
-    p.add_argument("--format", default="json", choices=("json", "table"))
-    p.add_argument("--fmt", default="auto", choices=("auto", "graph6", "edges"),
-                   help="input file format")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("verify", help="corpus-wide theorem verification")
@@ -321,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", required=True, help="second pattern of the triple")
     p.add_argument("--s", required=True, help="third pattern of the triple")
     p.add_argument("--corpus", required=True, help="graph6 file, '-' for stdin")
-    p.add_argument("--max-n", type=int, default=None)
     p.set_defaults(func=cmd_hunt)
 
     p = sub.add_parser("witness", help="emit the separating construction")

@@ -144,13 +144,18 @@ def is_R_free(g: Graph, p: Pattern) -> bool:
 def theorem5_condition(g: Graph) -> ConditionReport:
     """Family-f-heavy for {claw,p7,deer} or {claw,p7,hourglass}.
 
-    The deer disjunct is evaluated first; on failure both disjunct
-    violations are reported, deer's first.
+    Each pattern is checked once: claw, p7, deer, hourglass.  On failure
+    both disjunct violations are reported, deer's first, so a claw or p7
+    violation, shared by the two disjuncts, appears twice.
     """
-    deer_rep = is_family_f_heavy(g, [pattern("claw"), pattern("p7"), pattern("deer")])
+    for name in ("claw", "p7"):
+        rep = is_R_f_heavy(g, pattern(name))
+        if not rep.verdict:
+            return ConditionReport("thm5", False, rep.violations * 2)
+    deer_rep = is_R_f_heavy(g, pattern("deer"))
     if deer_rep.verdict:
         return ConditionReport("thm5", True)
-    hour_rep = is_family_f_heavy(g, [pattern("claw"), pattern("p7"), pattern("hourglass")])
+    hour_rep = is_R_f_heavy(g, pattern("hourglass"))
     if hour_rep.verdict:
         return ConditionReport("thm5", True)
     return ConditionReport("thm5", False, deer_rep.violations + hour_rep.violations)

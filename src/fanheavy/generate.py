@@ -20,8 +20,6 @@ from typing import Iterator
 
 from .graph import Graph
 
-DEFAULT_SEED = 1729
-
 
 def _pairs(n: int) -> list[tuple[int, int]]:
     return list(combinations(range(n), 2))
@@ -42,21 +40,15 @@ def labeled_graphs(n: int) -> Iterator[Graph]:
         yield Graph.from_rows(tuple(rows))
 
 
-def two_connected_labeled(n: int) -> Iterator[Graph]:
-    for g in labeled_graphs(n):
-        if g.is_two_connected():
-            yield g
-
-
-def refinement_key(g: Graph, rounds: int = 3) -> tuple:
-    """Isomorphism-invariant bucket key via iterated color refinement.
+def refinement_key(g: Graph) -> tuple:
+    """Isomorphism-invariant bucket key: three rounds of color refinement.
 
     Colors start as degrees; each round replaces a color with its rank in
     the sorted list of (color, sorted neighbor colors) signatures, which
     is canonical across isomorphic graphs.
     """
     colors = [g.degree(v) for v in range(g.n)]
-    for _ in range(rounds):
+    for _ in range(3):
         sigs = [(colors[v], tuple(sorted(colors[w] for w in g.neighbors(v))))
                 for v in range(g.n)]
         ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
@@ -195,15 +187,6 @@ def random_graph(rng: random.Random, n: int, p: float | None = None) -> Graph:
         p = rng.uniform(0.1, 0.9)
     edges = [(u, v) for u, v in _pairs(n) if rng.random() < p]
     return Graph(n, edges)
-
-
-def random_graphs(count: int, max_n: int, seed: int = DEFAULT_SEED,
-                  min_n: int = 1) -> Iterator[Graph]:
-    """Deterministic stream of `count` random graphs with min_n <= n <= max_n."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        n = rng.randint(min_n, max_n)
-        yield random_graph(rng, n)
 
 
 def random_o_cycle(rng: random.Random, g: Graph):

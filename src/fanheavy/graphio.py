@@ -1,4 +1,4 @@
-"""graph6 codec, edge-list text format, corpus streaming, report emission.
+"""graph6 codec, edge-list text format, corpus streaming.
 
 graph6 per the de-facto standard: size byte 63+n for n <= 62, then the
 upper-triangle adjacency bits in column order x(0,1), x(0,2), x(1,2),
@@ -9,8 +9,6 @@ optional `>>graph6<<` header.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .graph import Graph
@@ -22,13 +20,6 @@ GRAPH6_HEADER = ">>graph6<<"
 
 class GraphFormatError(ValueError):
     """Malformed graph6 / edge-list input."""
-
-    def __init__(self, message: str, line_no: int | None = None, line: str | None = None):
-        self.line_no = line_no
-        self.line = line
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
 
 
 def encode_graph6(g: Graph) -> str:
@@ -94,29 +85,23 @@ def decode_edge_list(text: str) -> Graph:
         raise GraphFormatError("empty edge-list input")
     head = lines[0].split()
     if len(head) != 2:
-        raise GraphFormatError("expected header 'n m'", line_no=1, line=lines[0])
+        raise GraphFormatError("line 1: expected header 'n m'")
     try:
         n, m = int(head[0]), int(head[1])
     except ValueError:
-        raise GraphFormatError("expected integer header 'n m'", line_no=1, line=lines[0])
+        raise GraphFormatError("line 1: expected integer header 'n m'")
     if len(lines) - 1 != m:
         raise GraphFormatError(f"expected {m} edge lines, got {len(lines) - 1}")
     edges = []
     for i, ln in enumerate(lines[1:], start=2):
         parts = ln.split()
         if len(parts) != 2:
-            raise GraphFormatError("expected edge 'u v'", line_no=i, line=ln)
+            raise GraphFormatError(f"line {i}: expected edge 'u v'")
         try:
             edges.append((int(parts[0]), int(parts[1])))
         except ValueError:
-            raise GraphFormatError("expected integer edge 'u v'", line_no=i, line=ln)
+            raise GraphFormatError(f"line {i}: expected integer edge 'u v'")
     return Graph(n, edges)
-
-
-def encode_edge_list(g: Graph) -> str:
-    lines = [f"{g.n} {g.num_edges()}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
 
 
 def read_corpus(
@@ -138,55 +123,9 @@ def read_corpus(
             g = decode_graph6(s)
         except GraphFormatError as exc:
             if errors is None:
-                raise GraphFormatError(str(exc), line_no=line_no, line=s) from exc
+                raise GraphFormatError(f"line {line_no}: {exc}") from exc
             errors.append((line_no, str(exc)))
             continue
         yield index, g
         index += 1
 
-
-# -- verdict reports -----------------------------------------------------
-
-@dataclass
-class VerdictRecord:
-    graph_id: int
-    condition: str
-    verdict: bool
-    witness: dict | None = None
-    seconds: float = 0.0
-    error: str | None = None
-
-    def to_dict(self) -> dict:
-        d = {
-            "graph_id": self.graph_id,
-            "condition": self.condition,
-            "verdict": self.verdict,
-            "seconds": round(self.seconds, 6),
-        }
-        if self.witness is not None:
-            d["witness"] = self.witness
-        if self.error is not None:
-            d["error"] = self.error
-        return d
-
-
-def write_report(records: Iterable[VerdictRecord], fmt: str = "json") -> str:
-    recs = sorted(records, key=lambda r: r.graph_id)
-    n_true = sum(1 for r in recs if r.error is None and r.verdict)
-    n_false = sum(1 for r in recs if r.error is None and not r.verdict)
-    n_error = sum(1 for r in recs if r.error is not None)
-    if fmt == "json":
-        lines = [json.dumps(r.to_dict(), sort_keys=True) for r in recs]
-        lines.append(json.dumps(
-            {"summary": {"true": n_true, "false": n_false, "errors": n_error}},
-            sort_keys=True))
-        return "\n".join(lines) + "\n"
-    if fmt == "table":
-        lines = [f"{'graph':>6}  {'condition':<12} {'verdict':<8} witness"]
-        for r in recs:
-            wit = json.dumps(r.witness, sort_keys=True) if r.witness else ""
-            verdict = "ERROR" if r.error is not None else str(r.verdict)
-            lines.append(f"{r.graph_id:>6}  {r.condition:<12} {verdict:<8} {wit}")
-        lines.append(f"summary: true={n_true} false={n_false} errors={n_error}")
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown report format {fmt!r}")

@@ -73,16 +73,6 @@ def pattern_from_spec(token: str) -> Pattern:
             f"({', '.join(CATALOG_NAMES)}) and not valid graph6")
 
 
-def distance2_pairs(h: Graph) -> list[tuple[int, int]]:
-    """All unordered pairs at distance exactly 2: non-adjacent with a common neighbor."""
-    out = []
-    for u in range(h.n):
-        for v in range(u + 1, h.n):
-            if not (h.adj[u] >> v) & 1 and h.adj[u] & h.adj[v]:
-                out.append((u, v))
-    return out
-
-
 def is_isomorphic_small(g1: Graph, g2: Graph) -> bool:
     """Backtracking isomorphism test with degree pruning, for n <= 10."""
     if g1.n > ISO_MAX_N or g2.n > ISO_MAX_N:

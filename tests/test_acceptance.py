@@ -25,8 +25,7 @@ from fanheavy.conditions import (is_2_heavy, is_R_f_heavy, is_R_free,
 from fanheavy.cycles import (find_cycle_through, find_hamilton_cycle,
                              hamiltonian_brute_force, heavy_vertices,
                              expand_o_cycle, is_valid_cycle)
-from fanheavy.generate import (labeled_graphs, random_graph, random_o_cycle,
-                               two_connected_labeled)
+from fanheavy.generate import labeled_graphs, random_graph, random_o_cycle
 from fanheavy.graph import Graph, complete_graph, cycle_graph, path_graph
 from fanheavy.graphio import decode_graph6, encode_graph6
 from fanheavy.patterns import (CATALOG_NAMES, Pattern, enumerate_induced_copies,
@@ -61,7 +60,7 @@ def labeled_small():
 def two_connected_corpus(two_connected_by_n):
     """2-connected graphs: exhaustive labeled n <= 6 plus representatives
     for n in {7, 8}."""
-    corpus = [g for n in range(3, 7) for g in two_connected_labeled(n)]
+    corpus = [g for n in range(3, 7) for g in labeled_graphs(n) if g.is_two_connected()]
     corpus += two_connected_by_n[7] + two_connected_by_n[8]
     return corpus
 

@@ -44,10 +44,14 @@ def test_check_thm5_true_exit0(tmp_path, capsys):
 def test_check_malformed_exit2(tmp_path, capsys):
     path = tmp_path / "bad.g6"
     path.write_text("!!not graph6!!\n")
-    code, _, err = run(capsys, "check", str(path), "--condition", "fan",
-                       "--fmt", "graph6")
+    code, _, err = run(capsys, "check", str(path), "--condition", "fan")
     assert code == 2
     assert "error" in err
+    # no whitespace on the first line: graph6, not an edge-list header
+    path.write_text("C~!\n")
+    code, out, err = run(capsys, "check", str(path), "--condition", "fan")
+    assert code == 2 and out == ""
+    assert err == "error: character '!' outside graph6 range 63..126\n"
 
 
 def write_nx_g6(tmp_path, name, *graphs):
@@ -59,11 +63,16 @@ def write_nx_g6(tmp_path, name, *graphs):
     return str(path)
 
 
-@pytest.mark.parametrize("fmt", ["auto", "graph6"])
-def test_check_accepts_graph6_header(tmp_path, capsys, fmt):
-    path = write_nx_g6(tmp_path, "c5.g6", nx.cycle_graph(5))
+# the content decides the format, not the file name: "auto" names the file
+# with no suffix, "graph6" with the .g6 one
+NAME_HINTS = pytest.mark.parametrize("suffix", ["", ".g6"], ids=["auto", "graph6"])
+
+
+@NAME_HINTS
+def test_check_accepts_graph6_header(tmp_path, capsys, suffix):
+    path = write_nx_g6(tmp_path, "c5" + suffix, nx.cycle_graph(5))
     assert Path(path).read_text().startswith(">>graph6<<")
-    code, out, err = run(capsys, "check", path, "--condition", "fan", "--fmt", fmt)
+    code, out, err = run(capsys, "check", path, "--condition", "fan")
     assert code == 1 and err == ""
     assert json.loads(out)["violations"][0]["pair"] == [0, 2]
 
@@ -78,10 +87,10 @@ def test_verify_accepts_graph6_header(tmp_path, capsys):
     assert (summary["gate_passed"], summary["hypothesis_passed"]) == (3, 2)
 
 
-@pytest.mark.parametrize("fmt", ["auto", "graph6"])
-def test_check_rejects_extra_graphs(tmp_path, capsys, fmt):
-    path = write_g6(tmp_path, "two.g6", complete_graph(4), cycle_graph(5))
-    code, out, err = run(capsys, "check", path, "--condition", "thm5", "--fmt", fmt)
+@NAME_HINTS
+def test_check_rejects_extra_graphs(tmp_path, capsys, suffix):
+    path = write_g6(tmp_path, "two" + suffix, complete_graph(4), cycle_graph(5))
+    code, out, err = run(capsys, "check", path, "--condition", "thm5")
     assert code == 2 and out == ""
     # the graph6 error, not an edge-list parse of the same text
     assert err.startswith("error:") and "2 graph6 lines" in err
@@ -89,17 +98,35 @@ def test_check_rejects_extra_graphs(tmp_path, capsys, fmt):
 
 def test_check_edge_list_input(tmp_path, capsys):
     path = tmp_path / "c4.txt"
-    path.write_text("4 4\n0 1\n1 2\n2 3\n3 0\n")
+    path.write_text("\n4\t4\n0 1\n1 2\n2 3\n3 0\n")
+    code, out, err = run(capsys, "check", str(path), "--condition", "fan")
+    assert code == 0 and err == ""
+    assert json.loads(out)["verdict"] is True
+    # P4 as an edge list: 0 and 2 are both light at n = 5
+    path.write_text("5 3\n0 1\n1 2\n2 3\n")
     code, out, _ = run(capsys, "check", str(path), "--condition", "fan")
-    assert code == 0 and json.loads(out)["verdict"] is True
+    assert code == 1 and json.loads(out)["violations"][0]["pair"] == [0, 2]
 
 
 def test_check_free_and_table_format(tmp_path, capsys):
     path = write_g6(tmp_path, "c6.g6", cycle_graph(6))
     code, out, _ = run(capsys, "check", path, "--condition", "free",
-                       "--patterns", "claw,p7", "--format", "table")
+                       "--patterns", "claw,p7")
     assert code == 0
-    assert "verdict=True" in out
+    assert json.loads(out) == {"condition": "free", "verdict": True, "violations": []}
+    # JSON is the only output format
+    code, out, err = run(capsys, "check", path, "--condition", "free", "--format", "table")
+    assert code == 2 and out == "" and "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("argv", [("check", "-", "--condition", "fan", "--fmt", "graph6"),
+                                  ("hunt", "--r", "p7", "--s", "deer", "--corpus", "-",
+                                   "--max-n", "9")],
+                         ids=["check-fmt", "hunt-max-n"])
+def test_removed_options_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage:") and "unrecognized arguments" in err
 
 
 def test_verify_small_corpus(tmp_path, capsys):
@@ -182,10 +209,28 @@ def test_hunt_finds_planted_counterexample():
 def test_hunt_no_hit_under_theorem_triple(tmp_path, capsys):
     path = write_g6(tmp_path, "corpus.g6", petersen(), cycle_graph(5),
                     complete_graph(5))
-    code, out, _ = run(capsys, "hunt", "--r", "p7", "--s", "deer",
-                       "--corpus", path, "--max-n", "10")
+    code, out, _ = run(capsys, "hunt", "--r", "p7", "--s", "deer", "--corpus", path)
     assert code == 0
-    assert json.loads(out)["counterexample"] is None
+    assert json.loads(out) == {"counterexample": None, "parse_errors": [], "scanned": 3,
+                               "triple": ["claw", "p7", "deer"]}
+
+
+def test_hunt_reports_parse_errors(tmp_path, capsys):
+    # malformed lines are reported, as by verify, and do not decide the exit code
+    path = tmp_path / "corpus.g6"
+    path.write_text("!!bad!!\nC~\n")
+    code, out, _ = run(capsys, "hunt", "--r", "p7", "--s", "deer", "--corpus", path)
+    assert code == 0
+    result = json.loads(out)
+    assert result["scanned"] == 1 and result["counterexample"] is None
+    assert result["parse_errors"] == [
+        {"line": 1, "error": "character '!' outside graph6 range 63..126"}]
+    path.write_text("C~\n!!bad!!\nHHMNK_K\n")
+    code, out, _ = run(capsys, "hunt", "--r", "claw", "--s", "claw", "--corpus", path)
+    assert code == 1
+    result = json.loads(out)
+    assert (result["counterexample"], result["scanned"]) == ("HHMNK_K", 2)
+    assert [e["line"] for e in result["parse_errors"]] == [2]
 
 
 def test_witness_graph6_roundtrip(capsys):

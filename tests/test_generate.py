@@ -5,8 +5,7 @@ import pytest
 
 from fanheavy.generate import (canonical_form, labeled_graphs,
                                nonisomorphic_graphs, random_graph,
-                               random_graphs, refinement_key,
-                               two_connected_labeled)
+                               refinement_key)
 from fanheavy.graph import Graph, complete_graph, cycle_graph
 from fanheavy.patterns import is_isomorphic_small
 
@@ -42,12 +41,6 @@ def test_representatives_cover_all_labeled_graphs():
         matches = sum(1 for h in reps if refinement_key(h) == refinement_key(g)
                       and is_isomorphic_small(g, h))
         assert matches == 1
-
-
-def test_two_connected_labeled_agrees_with_filter():
-    got = sum(1 for _ in two_connected_labeled(5))
-    expect = sum(1 for g in labeled_graphs(5) if g.is_two_connected())
-    assert got == expect
 
 
 def test_refinement_key_is_invariant():
@@ -121,11 +114,3 @@ def test_canonical_form_separates_orders():
     # the leading bit keeps edgeless graphs of different order apart
     assert len({canonical_form(Graph(n)) for n in range(0, 12)}) == 12
 
-
-def test_random_graphs_deterministic_per_seed():
-    a = list(random_graphs(50, max_n=10, seed=7))
-    b = list(random_graphs(50, max_n=10, seed=7))
-    c = list(random_graphs(50, max_n=10, seed=8))
-    assert a == b
-    assert a != c
-    assert all(1 <= g.n <= 10 for g in a)

@@ -4,8 +4,7 @@ from itertools import combinations
 import pytest
 
 from fanheavy.graph import Graph, complete_graph, cycle_graph, path_graph
-from fanheavy.patterns import (CATALOG_NAMES, Pattern, distance2_pairs,
-                               enumerate_induced_copies, has_induced_copy,
+from fanheavy.patterns import (CATALOG_NAMES, Pattern, enumerate_induced_copies, has_induced_copy,
                                is_isomorphic_small, pattern)
 
 from conftest import k23
@@ -78,32 +77,6 @@ def test_isomorphism_examples():
     assert is_isomorphic_small(deer, relab)
     with pytest.raises(ValueError):
         is_isomorphic_small(complete_graph(11), complete_graph(11))
-
-
-def bfs_distance2_pairs(h):
-    return [(u, v) for u in range(h.n) for v in range(u + 1, h.n)
-            if h.distance(u, v) == 2]
-
-
-def test_distance2_pairs_examples():
-    assert distance2_pairs(pattern("claw").graph) == [(1, 2), (1, 3), (2, 3)]
-    assert distance2_pairs(pattern("p7").graph) == [(i, i + 2) for i in range(5)]
-    hg = pattern("hourglass").graph
-    assert distance2_pairs(hg) == [(1, 3), (1, 4), (2, 3), (2, 4)]
-    deer = pattern("deer").graph
-    assert distance2_pairs(deer) == bfs_distance2_pairs(deer)
-    assert len(distance2_pairs(deer)) == 6
-
-
-def test_distance2_pairs_never_adjacent_or_equal():
-    rng = random.Random(7)
-    for _ in range(100):
-        n = rng.randint(0, 8)
-        g = Graph(n, [(u, v) for u, v in combinations(range(n), 2)
-                      if rng.random() < 0.5])
-        for u, v in distance2_pairs(g):
-            assert u != v and not g.has_edge(u, v)
-        assert distance2_pairs(g) == bfs_distance2_pairs(g)
 
 
 def test_enumeration_soundness_random():
