@@ -281,6 +281,12 @@ def cmd_gen(args) -> int:
     return EXIT_TRUE
 
 
+def _positive_int(text: str) -> int:
+    if not (text.isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="fanheavy",
@@ -297,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="corpus-wide theorem verification")
     p.add_argument("--corpus", required=True, help="graph6 file, '-' for stdin")
     p.add_argument("--theorem", required=True, choices=THEOREMS)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--no-2connected-gate", action="store_true",
                    help="feed every corpus graph to the hypothesis check")
     p.set_defaults(func=cmd_verify)

@@ -47,13 +47,15 @@ def refinement_key(g: Graph) -> tuple:
     the sorted list of (color, sorted neighbor colors) signatures, which
     is canonical across isomorphic graphs.
     """
-    colors = [g.degree(v) for v in range(g.n)]
+    nbrs = [[w for w in range(g.n) if row >> w & 1] for row in g.adj]
+    colors = [len(ws) for ws in nbrs]
+    edges = sum(colors) // 2
     for _ in range(3):
-        sigs = [(colors[v], tuple(sorted(colors[w] for w in g.neighbors(v))))
-                for v in range(g.n)]
+        sigs = [(c, tuple(sorted([colors[w] for w in ws])))
+                for c, ws in zip(colors, nbrs)]
         ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
         colors = [ranking[s] for s in sigs]
-    return (g.n, g.num_edges(), tuple(sorted(colors)))
+    return (g.n, edges, tuple(sorted(colors)))
 
 
 def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> list[int]:
@@ -154,25 +156,41 @@ def nonisomorphic_graphs(n: int) -> list[Graph]:
     """One representative per isomorphism class of graphs on n vertices.
 
     Built by augmenting the (n-1)-vertex representatives with every
-    possible neighborhood for a new vertex, in order; a candidate is kept
-    when its `canonical_form` is new.  The kept graphs are grouped by
-    `refinement_key` (buckets in order of first appearance), which fixes
-    the order of the output: `tests/data/graphs8_reduced.g6` is this list
-    for n = 8.
+    possible neighborhood for a new vertex, in increasing bitmask order; a
+    candidate is kept when its `canonical_form` is new.  A neighborhood S
+    is skipped, without a form, when the base has twins u < v
+    (N(u) - {v} == N(v) - {u}) with v in S and u not in S: swapping u and
+    v is an automorphism of the base, so the candidate is isomorphic to
+    the one for S - v + u, a smaller bitmask that came earlier.  So the
+    form of a skipped candidate is already in `seen`: the first candidate
+    of each class is never skipped, and the kept list is the same as
+    without the skip.  The kept graphs are grouped by `refinement_key`
+    (buckets in order of first appearance), which fixes the order of the
+    output: `tests/data/graphs8_reduced.g6` is this list for n = 8.
     """
     if n == 0:
         return [Graph(0)]
     seen: set[int] = set()
     reps: dict[tuple, list[Graph]] = {}
+    last = 1 << (n - 1)
     for base in nonisomorphic_graphs(n - 1):
-        for nbhd in range(1 << (n - 1)):
-            rows = list(base.adj) + [0]
+        adj = base.adj
+        # twins form classes; checking each vertex against its nearest
+        # lower twin covers every pair of a class
+        twins = []
+        for v in range(1, n - 1):
+            for u in range(v - 1, -1, -1):
+                if (adj[u] ^ adj[v]) & ~(1 << u | 1 << v) == 0:
+                    twins.append((1 << u, 1 << v))
+                    break
+        for nbhd in range(last):
+            if any(nbhd & vb and not nbhd & ub for ub, vb in twins):
+                continue
+            rows = list(adj) + [nbhd]
             rest = nbhd
             while rest:
                 low = rest & -rest
-                v = low.bit_length() - 1
-                rows[v] |= 1 << (n - 1)
-                rows[n - 1] |= 1 << v
+                rows[low.bit_length() - 1] |= last
                 rest ^= low
             g = Graph.from_rows(tuple(rows))
             form = canonical_form(g)

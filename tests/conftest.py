@@ -1,10 +1,11 @@
 import functools
+import os
 from pathlib import Path
 
 import pytest
 
 from fanheavy.graph import Graph
-from fanheavy.graphio import decode_graph6
+from fanheavy.graphio import decode_graph6, encode_graph6
 
 DATA = Path(__file__).parent / "data"
 
@@ -56,3 +57,22 @@ def two_connected_by_n() -> dict[int, list[Graph]]:
         out[n] = [g for g in _reps(n) if g.is_two_connected()]
         assert len(out[n]) == TWO_CONNECTED_COUNTS[n]
     return out
+
+
+@pytest.fixture(scope="session")
+def two_connected_9() -> list[Graph]:
+    """The 2-connected classes with n = 9, read from the file that
+    FANHEAVY_N9_CORPUS names or else tests/data/two_connected_9.g6.  A
+    missing file is generated and written first (about 2.5 min); it is
+    gitignored test data, not part of the repository."""
+    path = Path(os.environ.get("FANHEAVY_N9_CORPUS") or DATA / "two_connected_9.g6")
+    if not path.exists():
+        from fanheavy.generate import nonisomorphic_graphs
+        part = path.with_name(path.name + ".part")
+        part.write_text("".join(encode_graph6(g) + "\n" for g in nonisomorphic_graphs(9)
+                                if g.is_two_connected()))
+        part.replace(path)
+    graphs = [decode_graph6(s) for s in path.read_text().splitlines() if s.strip()]
+    assert len(graphs) == TWO_CONNECTED_COUNTS[9]
+    assert all(g.n == 9 and g.is_two_connected() for g in graphs)
+    return graphs

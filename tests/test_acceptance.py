@@ -3,19 +3,17 @@
 Corpora: exhaustive labeled enumeration for n <= 6, one representative
 per isomorphism class for n in {7, 8} (every condition under test is
 isomorphism-invariant, so the reduced corpus verifies the same
-universally quantified statements).  An n = 9 corpus of 2-connected
-graphs is consumed from the FANHEAVY_N9_CORPUS environment variable or
-tests/data/two_connected_9.g6 when present; without one the n = 9 leg is
-reported as not supplied.
+universally quantified statements).  Criteria 01-03 and 06 also have an
+n = 9 leg, marked slow, over the 2-connected 9-vertex classes of the
+`two_connected_9` fixture (see conftest.py).
 
-Run with `pytest tests/test_acceptance.py -v -s` to see the criterion lines.
+Run with `pytest tests/test_acceptance.py -v -s` to see the criterion lines,
+and with `-m slow` for the n = 9 legs.
 """
 
 import itertools
-import os
 import random
 import time
-from pathlib import Path
 
 import pytest
 
@@ -32,7 +30,7 @@ from fanheavy.patterns import (CATALOG_NAMES, Pattern, enumerate_induced_copies,
                                is_isomorphic_small, pattern)
 from fanheavy.witness import build_witness, classify_witness
 
-from conftest import DATA, k23, petersen
+from conftest import TWO_CONNECTED_COUNTS, k23, petersen
 
 SEED = 1729
 
@@ -40,14 +38,6 @@ SEED = 1729
 def report(num, desc, ok):
     print(f"\nACCEPTANCE {num:02d} {'PASS' if ok else 'FAIL'}: {desc}")
     assert ok, f"criterion {num} failed: {desc}"
-
-
-def n9_corpus_lines():
-    path = os.environ.get("FANHEAVY_N9_CORPUS") or (DATA / "two_connected_9.g6")
-    path = Path(path)
-    if path.exists():
-        return path.read_text().splitlines()
-    return None
 
 
 @pytest.fixture(scope="session")
@@ -65,25 +55,15 @@ def two_connected_corpus(two_connected_by_n):
     return corpus
 
 
-def _theorem_counterexamples(graphs, hypothesis):
-    bad = []
-    for g in graphs:
-        if hypothesis(g).verdict and find_hamilton_cycle(g) is None:
-            bad.append(encode_graph6(g))
-    return bad
+def _passed_and_counterexamples(graphs, hypothesis):
+    passed = [g for g in graphs if hypothesis(g).verdict]
+    return passed, [encode_graph6(g) for g in passed if find_hamilton_cycle(g) is None]
 
 
 def _run_theorem(num, name, hypothesis, two_connected_corpus):
-    bad = _theorem_counterexamples(two_connected_corpus, hypothesis)
-    n9 = n9_corpus_lines()
-    n9_note = "n=9 corpus not supplied"
-    if n9 is not None:
-        graphs9 = [decode_graph6(s) for s in n9 if s.strip()]
-        assert all(g.n == 9 and g.is_two_connected() for g in graphs9)
-        bad += _theorem_counterexamples(graphs9, hypothesis)
-        n9_note = f"n=9 corpus of {len(graphs9)} graphs included"
+    _, bad = _passed_and_counterexamples(two_connected_corpus, hypothesis)
     report(num, f"{name} exhaustive check, 2-connected n<=8 "
-                f"({len(two_connected_corpus)} graphs; {n9_note}): "
+                f"({len(two_connected_corpus)} graphs): "
                 f"{len(bad)} counterexamples", not bad)
 
 
@@ -97,6 +77,20 @@ def test_criterion_02_theorem1(two_connected_by_n, two_connected_corpus):
 
 def test_criterion_03_theorem4(two_connected_by_n, two_connected_corpus):
     _run_theorem(3, "theorem 4", theorem4_condition, two_connected_corpus)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("num, name, hypothesis, expected_passed", [
+    (1, "theorem 5", theorem5_condition, 13053),
+    (2, "theorem 1 (fan)", satisfies_fan, 10101),
+    (3, "theorem 4", theorem4_condition, 13053)], ids=["thm5", "fan", "thm4"])
+def test_criteria_01_to_03_on_n9(two_connected_9, num, name, hypothesis,
+                                 expected_passed):
+    passed, bad = _passed_and_counterexamples(two_connected_9, hypothesis)
+    report(num, f"{name} exhaustive check, 2-connected n=9 "
+                f"({len(two_connected_9)} graphs): {len(passed)} pass the "
+                f"hypothesis, {len(bad)} counterexamples",
+           len(passed) == expected_passed and not bad)
 
 
 @pytest.fixture(scope="session")
@@ -141,24 +135,28 @@ def test_criterion_05_definition_identities(implication_corpus):
               f"{violations} violations", violations == 0)
 
 
-def test_criterion_06_lemma1_heavy_cycles(two_connected_corpus):
-    failures = 0
-    checked = 0
-    for g in two_connected_corpus:
-        checked += 1
-        if find_cycle_through(g, set(heavy_vertices(g))) is None:
-            failures += 1
-    n9 = n9_corpus_lines()
-    if n9 is not None:
-        for s in n9:
-            if not s.strip():
-                continue
-            g = decode_graph6(s)
-            checked += 1
-            if find_cycle_through(g, set(heavy_vertices(g))) is None:
-                failures += 1
-    report(6, f"lemma 1: heavy cycle exists in all {checked} 2-connected "
+def _run_lemma1(graphs):
+    failures = sum(1 for g in graphs
+                   if find_cycle_through(g, set(heavy_vertices(g))) is None)
+    report(6, f"lemma 1: heavy cycle exists in all {len(graphs)} 2-connected "
               f"graphs: {failures} failures", failures == 0)
+
+
+def test_criterion_06_lemma1_heavy_cycles(two_connected_corpus):
+    _run_lemma1(two_connected_corpus)
+
+
+@pytest.mark.slow
+def test_criterion_06_lemma1_heavy_cycles_on_n9(two_connected_9):
+    _run_lemma1(two_connected_9)
+
+
+@pytest.mark.slow
+def test_hamiltonian_count_on_n9(two_connected_9):
+    # OEIS A003216: 177083 Hamiltonian classes with n = 9
+    non_hamiltonian = sum(1 for g in two_connected_9 if find_hamilton_cycle(g) is None)
+    assert non_hamiltonian == 16983
+    assert TWO_CONNECTED_COUNTS[9] - non_hamiltonian == 177083
 
 
 def test_criterion_07_lemma2_expansion():

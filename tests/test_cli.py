@@ -179,6 +179,18 @@ def test_verify_workers_match_serial(tmp_path, capsys):
         assert [e["line"] for e in s1["parse_errors"]] == [8]
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_verify_rejects_nonpositive_workers(tmp_path, capsys, monkeypatch, workers):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+    monkeypatch.setattr("fanheavy.cli.multiprocessing.Pool", no_pool)
+    path = write_g6(tmp_path, "corpus.g6", complete_graph(4))
+    code, out, err = run(capsys, "verify", "--corpus", path, "--theorem", "thm5",
+                         "--workers", workers)
+    assert code == 2 and out == ""
+    assert err.startswith("usage:") and f"--workers: expected an integer >= 1, got '{workers}'" in err
+
+
 def test_hunt_empty_corpus(tmp_path, capsys):
     path = tmp_path / "empty.g6"
     path.write_text("")

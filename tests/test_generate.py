@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import networkx as nx
@@ -7,6 +8,7 @@ from fanheavy.generate import (canonical_form, labeled_graphs,
                                nonisomorphic_graphs, random_graph,
                                refinement_key)
 from fanheavy.graph import Graph, complete_graph, cycle_graph
+from fanheavy.graphio import encode_graph6
 from fanheavy.patterns import is_isomorphic_small
 
 from conftest import GRAPH_COUNTS, TWO_CONNECTED_COUNTS, petersen
@@ -26,6 +28,50 @@ def test_labeled_graph_counts():
 def test_nonisomorphic_counts_match_known_sequence():
     for n in range(0, 8):
         assert len(nonisomorphic_graphs(n)) == GRAPH_COUNTS[n]
+
+
+def test_nonisomorphic_7_output_is_pinned():
+    # `gen --n 7 --reduce` stdout; a change in output order changes it
+    text = "\n".join(encode_graph6(g) for g in nonisomorphic_graphs(7)) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "dcabbf661381ec912d5f9629d91dd6f615570ecb705c974decb066ddf7533bd8")
+
+
+def unpruned_nonisomorphic_graphs(n: int) -> list[Graph]:
+    # every neighbourhood of every base gets a form, no twin skip
+    if n == 0:
+        return [Graph(0)]
+    seen, reps = set(), {}
+    for base in unpruned_nonisomorphic_graphs(n - 1):
+        for nbhd in range(1 << (n - 1)):
+            edges = list(base.edges()) + [(v, n - 1) for v in range(n - 1) if nbhd >> v & 1]
+            g = Graph(n, edges)
+            if canonical_form(g) not in seen:
+                seen.add(canonical_form(g))
+                reps.setdefault(refinement_key(g), []).append(g)
+    return [g for bucket in reps.values() for g in bucket]
+
+
+def test_twin_skip_keeps_the_unpruned_output():
+    for n in range(0, 7):
+        assert nonisomorphic_graphs(n) == unpruned_nonisomorphic_graphs(n)
+
+
+def reference_refinement_key(g: Graph) -> tuple:
+    colors = [g.degree(v) for v in range(g.n)]
+    for _ in range(3):
+        sigs = [(colors[v], tuple(sorted(colors[w] for w in g.neighbors(v))))
+                for v in range(g.n)]
+        ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        colors = [ranking[s] for s in sigs]
+    return (g.n, g.num_edges(), tuple(sorted(colors)))
+
+
+def test_refinement_key_matches_reference():
+    rng = random.Random(37)
+    for _ in range(500):
+        g = random_graph(rng, rng.randint(0, 16))
+        assert refinement_key(g) == reference_refinement_key(g)
 
 
 def test_two_connected_counts_match_known_sequence():
