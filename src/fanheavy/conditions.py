@@ -4,14 +4,26 @@ Heaviness thresholds stay in integer arithmetic: a vertex is heavy when
 2*d(v) >= n.  Degrees are always measured in the host graph G and the
 threshold always uses n = |V(G)|, even when the distance-2 pair lives
 inside an induced copy; only the distance is taken inside the copy.
+
+Witness contract: a failed R-f-heavy check reports the lexicographically
+first light copy of R, as a sorted tuple, and in it the lexicographically
+first light distance-2 pair.
+
+`is_R_f_heavy` needs no copy search on most hosts.  Two vertices at
+distance 2 inside an induced copy are non-adjacent in G and share a
+neighbour in G, so they are at distance 2 in G too.  Every light copy
+therefore holds two light vertices that form a distance-2 pair of G.  When
+G has no such pair (Fan's condition) every R is f-heavy, and otherwise
+only copies that hold two of the vertices in such pairs need a check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph
-from .patterns import Pattern, enumerate_induced_copies, has_induced_copy, pattern
+from .graph import Graph, iter_bits
+from .patterns import (Pattern, _induced_copies, enumerate_induced_copies,
+                       has_induced_copy, pattern)
 
 
 @dataclass(frozen=True)
@@ -61,23 +73,51 @@ def is_heavy(g: Graph, v: int) -> bool:
     return 2 * g.degree(v) >= g.n
 
 
-def _light_pair(g: Graph, subset_mask: int, subset: tuple[int, ...] | None,
-                pattern_name: str | None) -> Violation | None:
-    """Lexicographically first distance-2 pair inside the masked subgraph
-    whose endpoints are both light in g, or None."""
-    verts = [v for v in range(g.n) if (subset_mask >> v) & 1]
-    for i, u in enumerate(verts):
-        for v in verts[i + 1:]:
-            if (g.adj[u] >> v) & 1:
-                continue
-            if not (g.adj[u] & g.adj[v] & subset_mask):
-                continue
-            if not is_heavy(g, u) and not is_heavy(g, v):
-                return Violation(
-                    kind="light-pair", threshold_n=g.n, pattern=pattern_name,
-                    subset=subset, pair=(u, v),
-                    degrees=(g.degree(u), g.degree(v)))
+def _light_partners(g: Graph) -> list[int]:
+    """Entry u has bit v set when u and v are light and at distance 2 in g."""
+    n = g.n
+    adj = g.adj
+    light = 0
+    for v in range(n):
+        if 2 * adj[v].bit_count() < n:
+            light |= 1 << v
+    partners = [0] * n
+    for u in iter_bits(light):
+        for v in iter_bits(light & ~adj[u] & ~(1 << u)):
+            if adj[u] & adj[v]:
+                partners[u] |= 1 << v
+    return partners
+
+
+def _light_pair(adj: list[int], partners: list[int], mask: int) -> tuple[int, int] | None:
+    """Lexicographically first pair u < v of the vertex bitmask `mask`
+    that is at distance 2 inside it with both ends light, or None;
+    `partners` is `_light_partners` of the graph."""
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        u = low.bit_length() - 1
+        near = partners[u] & rest
+        while near:
+            bit = near & -near
+            near ^= bit
+            v = bit.bit_length() - 1
+            if adj[u] & adj[v] & mask:
+                return u, v
     return None
+
+
+def _light_pair_report(condition: str, g: Graph, partners: list[int], mask: int,
+                       subset: tuple[int, ...] | None,
+                       pattern_name: str | None) -> ConditionReport:
+    pair = _light_pair(g.adj, partners, mask)
+    if pair is None:
+        return ConditionReport(condition, True)
+    u, v = pair
+    return ConditionReport(condition, False, (Violation(
+        kind="light-pair", threshold_n=g.n, pattern=pattern_name, subset=subset,
+        pair=pair, degrees=(g.degree(u), g.degree(v))),))
 
 
 def copy_is_f_heavy(g: Graph, subset: tuple[int, ...] | list[int],
@@ -87,25 +127,55 @@ def copy_is_f_heavy(g: Graph, subset: tuple[int, ...] | list[int],
     mask = 0
     for v in sub:
         mask |= 1 << v
-    bad = _light_pair(g, mask, sub, pattern_name)
-    return ConditionReport("f-heavy-copy", bad is None, (bad,) if bad else ())
+    return _light_pair_report("f-heavy-copy", g, _light_partners(g), mask, sub, pattern_name)
 
 
-def is_R_f_heavy(g: Graph, p: Pattern) -> ConditionReport:
+def is_R_f_heavy(g: Graph, p: Pattern, partners: list[int] | None = None) -> ConditionReport:
+    """Every induced copy of p is f-heavy in g.
+
+    On failure the witness is the lexicographically first light copy.
+    The check first walks the one shared-prefix copy search and stops at
+    the first light copy; only then does it look for the first light copy
+    in order, one smallest vertex a = 0, 1, ... at a time with the search
+    anchored at a.  Anchored searches share no prefixes between anchors,
+    so they are kept off the path where the host passes.  `partners`, from
+    `_light_partners(g)`, lets a caller checking several patterns compute
+    it once.
+    """
     name = f"{p.name}-f-heavy"
-    for copy in enumerate_induced_copies(g, p):
-        rep = copy_is_f_heavy(g, copy, pattern_name=p.name)
-        if not rep.verdict:
-            return ConditionReport(name, False, rep.violations)
-    return ConditionReport(name, True)
+    if partners is None:
+        partners = _light_partners(g)
+    ends = 0
+    for m in partners:
+        ends |= m
+    if not ends:  # Fan's condition
+        return ConditionReport(name, True)
+    adj = g.adj
+    # a light copy holds two vertices of light pairs
+    if not any(_light_pair(adj, partners, c) for c in _induced_copies(g, p)
+               if (c & ends).bit_count() >= 2):
+        return ConditionReport(name, True)
+    # Copies come by smallest vertex, so the first light copy in order is
+    # among those sharing the smallest vertex of the first one found.  Of
+    # two k-sets the lexicographically smaller holds the least vertex of
+    # their symmetric difference.
+    best = 0
+    for c in _induced_copies(g, p, by_min=True):
+        if best and not c & best & -best:
+            break
+        diff = c ^ best
+        if c & diff & -diff and _light_pair(adj, partners, c):
+            best = c
+    return _light_pair_report(name, g, partners, best, tuple(iter_bits(best)), p.name)
 
 
 def is_family_f_heavy(g: Graph, ps: list[Pattern]) -> ConditionReport:
     if not ps:
         raise ValueError("pattern family must be non-empty")
     name = "{" + ",".join(p.name for p in ps) + "}-f-heavy"
+    partners = _light_partners(g)
     for p in ps:
-        rep = is_R_f_heavy(g, p)
+        rep = is_R_f_heavy(g, p, partners)
         if not rep.verdict:
             return ConditionReport(name, False, rep.violations)
     return ConditionReport(name, True)
@@ -113,8 +183,7 @@ def is_family_f_heavy(g: Graph, ps: list[Pattern]) -> ConditionReport:
 
 def satisfies_fan(g: Graph) -> ConditionReport:
     """Fan condition: every distance-2 pair of g has a heavy endpoint."""
-    bad = _light_pair(g, g.full_mask(), None, None)
-    return ConditionReport("fan", bad is None, (bad,) if bad else ())
+    return _light_pair_report("fan", g, _light_partners(g), g.full_mask(), None, None)
 
 
 def is_2_heavy(g: Graph) -> ConditionReport:
@@ -148,14 +217,15 @@ def theorem5_condition(g: Graph) -> ConditionReport:
     both disjunct violations are reported, deer's first, so a claw or p7
     violation, shared by the two disjuncts, appears twice.
     """
+    partners = _light_partners(g)
     for name in ("claw", "p7"):
-        rep = is_R_f_heavy(g, pattern(name))
+        rep = is_R_f_heavy(g, pattern(name), partners)
         if not rep.verdict:
             return ConditionReport("thm5", False, rep.violations * 2)
-    deer_rep = is_R_f_heavy(g, pattern("deer"))
+    deer_rep = is_R_f_heavy(g, pattern("deer"), partners)
     if deer_rep.verdict:
         return ConditionReport("thm5", True)
-    hour_rep = is_R_f_heavy(g, pattern("hourglass"))
+    hour_rep = is_R_f_heavy(g, pattern("hourglass"), partners)
     if hour_rep.verdict:
         return ConditionReport("thm5", True)
     return ConditionReport("thm5", False, deer_rep.violations + hour_rep.violations)

@@ -1,8 +1,9 @@
 """Catalog of the small pattern graphs and induced-copy search.
 
-One backtracking search (`_induced_copies`) serves both entry points:
+One backtracking search (`_induced_copies`) serves every entry point:
 `enumerate_induced_copies` collects every copy, `has_induced_copy` stops
-at the first.
+at the first, and `conditions.is_R_f_heavy` walks it lazily and, on
+failure, again in its anchored mode.
 
 Canonical pattern numbering (frozen so fixtures stay stable):
   claw       center 0, ends 1..3
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graph import Graph, path_graph
+from .graph import Graph, iter_bits, path_graph
 
 ISO_MAX_N = 10
 
@@ -66,11 +67,15 @@ def pattern_from_spec(token: str) -> Pattern:
         return pattern(key)
     from .graphio import GraphFormatError, decode_graph6
     try:
-        return Pattern(f"g6:{token}", decode_graph6(token))
+        g = decode_graph6(token)
     except GraphFormatError:
         raise ValueError(
             f"unknown pattern {token!r}: not a catalog name "
             f"({', '.join(CATALOG_NAMES)}) and not valid graph6")
+    if g.n == 0:
+        # K0 is an induced subgraph of every graph
+        raise ValueError(f"pattern {token!r} has no vertices")
+    return Pattern(f"g6:{token}", g)
 
 
 def is_isomorphic_small(g1: Graph, g2: Graph) -> bool:
@@ -115,76 +120,94 @@ def is_isomorphic_small(g1: Graph, g2: Graph) -> bool:
     return extend(0)
 
 
-def _search_order(p: Graph) -> list[int]:
-    """Pattern-vertex order: max degree first, then always adjacent to a
-    mapped vertex when possible (patterns are connected)."""
-    if p.n == 0:
-        return []
-    order = [max(range(p.n), key=lambda v: (p.degree(v), -v))]
-    placed = 1 << order[0]
+def _search_links(p: Graph, root: int | None = None) -> list[list[tuple[int, int]]]:
+    """Map `root` (by default a vertex of max degree) first, then always a
+    vertex adjacent to a mapped one when possible.  Entry pos lists the
+    (earlier position, adjacent in the pattern) pairs of position pos."""
+    deg = [row.bit_count() for row in p.adj]
+    if root is None:
+        root = max(range(p.n), key=lambda v: (deg[v], -v))
+    order = [root]
+    placed = 1 << root
     while len(order) < p.n:
         best = None
         for v in range(p.n):
             if (placed >> v) & 1:
                 continue
             anchored = (p.adj[v] & placed).bit_count()
-            key = (anchored, p.degree(v), -v)
+            key = (anchored, deg[v], -v)
             if best is None or key > best[0]:
                 best = (key, v)
         order.append(best[1])
         placed |= 1 << best[1]
-    return order
+    return [[(j, (p.adj[v] >> order[j]) & 1) for j in range(pos)]
+            for pos, v in enumerate(order)]
 
 
-def _induced_copies(g: Graph, p: Pattern) -> Iterator[tuple[int, ...]]:
-    """Yield the sorted host vertex set of every embedding of the pattern.
+def _induced_copies(g: Graph, p: Pattern, by_min: bool = False) -> Iterator[int]:
+    """Yield the host vertex bitmask of every embedding of the pattern.
 
-    Pattern vertices are mapped one at a time in `_search_order`.  The
-    candidates of each position are the hosts adjacent to the images of
-    its pattern neighbours and non-adjacent to (and distinct from) the
+    Pattern vertices are mapped one at a time in `_search_links` order.
+    The candidates of each position are the hosts adjacent to the images
+    of its pattern neighbours and non-adjacent to (and distinct from) the
     other mapped images.  An explicit stack holds the untried candidates
     of each position, and the lowest host is tried first.  A copy is
     yielded once per automorphism of the pattern.
+
+    With `by_min`, the copies come in order of their smallest vertex: for
+    a = 0, 1, ... the host is cut to the vertices >= a, and each pattern
+    vertex in turn is mapped to a first.  Every copy with smallest vertex
+    a is found with the pattern vertex that maps to a as the root.  Roots
+    with equal plans yield the same copies, so only the first of them runs.
     """
     pg = p.graph
     k = pg.n
     if k == 0 or k > g.n:
         return
-    order = _search_order(pg)
-    # links[pos]: (earlier position, adjacent in the pattern) pairs
-    links = [[(j, (pg.adj[order[pos]] >> order[j]) & 1) for j in range(pos)]
-             for pos in range(k)]
-    adj = g.adj
     full = g.full_mask()
+    if by_min:
+        plans = []
+        for root in range(k):
+            links = _search_links(pg, root)
+            if links not in plans:
+                plans.append(links)
+        starts = ((links, 1 << a, full >> a << a) for a in range(g.n - k + 1) for links in plans)
+    else:
+        starts = [(_search_links(pg), full, full)]
+    adj = g.adj
     image = [0] * k
-    stack = [full]
-    while stack:
-        pos = len(stack) - 1
-        cands = stack[pos]
-        if not cands:
-            stack.pop()
-            continue
-        low = cands & -cands
-        stack[pos] = cands ^ low
-        image[pos] = low.bit_length() - 1
-        if pos + 1 == k:
-            yield tuple(sorted(image))
-            continue
-        mask = full
-        for j, adjacent in links[pos + 1]:
-            host = image[j]
-            mask &= adj[host] if adjacent else ~(adj[host] | (1 << host))
-        stack.append(mask)
+    chosen = [0] * k
+    for links, first, allowed in starts:
+        stack = [first]
+        while stack:
+            pos = len(stack) - 1
+            cands = stack[pos]
+            if not cands:
+                stack.pop()
+                continue
+            low = cands & -cands
+            stack[pos] = cands ^ low
+            if pos + 1 == k:
+                yield chosen[pos] | low
+                continue
+            chosen[pos + 1] = chosen[pos] | low
+            image[pos] = low.bit_length() - 1
+            mask = allowed
+            for j, adjacent in links[pos + 1]:
+                host = image[j]
+                mask &= adj[host] if adjacent else ~(adj[host] | (1 << host))
+            stack.append(mask)
 
 
 def enumerate_induced_copies(g: Graph, p: Pattern) -> list[tuple[int, ...]]:
     """All vertex subsets of `g` inducing a copy of the pattern, each once
     as a sorted tuple, in lexicographic order."""
-    return sorted(set(_induced_copies(g, p)))
+    return sorted(tuple(iter_bits(m)) for m in set(_induced_copies(g, p)))
 
 
 def has_induced_copy(g: Graph, p: Pattern) -> tuple[int, ...] | None:
     """The first copy in search order (not necessarily the
     lexicographically smallest subset), or None when the host is
     pattern-free."""
-    return next(_induced_copies(g, p), None)
+    m = next(_induced_copies(g, p), None)
+    return None if m is None else tuple(iter_bits(m))

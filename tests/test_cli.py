@@ -307,3 +307,20 @@ def test_unknown_condition_exit2(tmp_path, capsys):
     path = write_g6(tmp_path, "k4.g6", complete_graph(4))
     code = main(["check", path, "--condition", "bogus"])
     assert code == 2
+
+
+@pytest.mark.parametrize("condition", ["free", "f-heavy"])
+def test_check_rejects_empty_pattern(tmp_path, capsys, condition):
+    # '?' is the graph6 string of K0, an induced subgraph of every graph
+    path = write_g6(tmp_path, "c4.g6", cycle_graph(4))
+    code, out, err = run(capsys, "check", path, "--condition", condition,
+                         "--patterns", "?")
+    assert code == 2 and out == ""
+    assert err == "error: pattern '?' has no vertices\n"
+
+
+def test_hunt_rejects_empty_pattern(tmp_path, capsys):
+    path = write_g6(tmp_path, "corpus.g6", cycle_graph(5))
+    code, out, err = run(capsys, "hunt", "--r", "?", "--s", "deer", "--corpus", path)
+    assert code == 2 and out == ""
+    assert err == "error: pattern '?' has no vertices\n"

@@ -1,16 +1,17 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
-from fanheavy.conditions import (copy_is_f_heavy, is_2_heavy, is_R_f_heavy,
-                                 is_R_free, is_family_f_heavy, is_heavy,
-                                 satisfies_fan, theorem4_condition,
-                                 theorem5_condition)
+from fanheavy.conditions import (ConditionReport, Violation, copy_is_f_heavy,
+                                 is_2_heavy, is_R_f_heavy, is_R_free,
+                                 is_family_f_heavy, is_heavy, satisfies_fan,
+                                 theorem4_condition, theorem5_condition)
 from fanheavy.graph import Graph, complete_graph, cycle_graph, path_graph
-from fanheavy.patterns import CATALOG_NAMES, Pattern, pattern, path_graph as _pg
+from fanheavy.patterns import (CATALOG_NAMES, Pattern, enumerate_induced_copies,
+                               pattern, pattern_from_spec, path_graph as _pg)
 
-from conftest import k23
+from conftest import _reps, k23
 
 
 def random_graph(rng, n, p=None):
@@ -181,3 +182,78 @@ def test_false_reports_revalidate():
                 for violation in rep.violations:
                     _revalidate(g, violation)
     assert seen_false > 100
+
+
+# every catalog pattern, two longer paths and a disconnected custom one
+ORACLE_PATTERNS = ([pattern(name) for name in CATALOG_NAMES]
+                   + [Pattern("p8", _pg(8)), Pattern("p9", _pg(9)),
+                      pattern_from_spec("A?")])
+
+
+def _first_light_copy_report(g, p):
+    """The rule is_R_f_heavy must reproduce: the first light copy of the
+    sorted, deduplicated copy list."""
+    for copy in sorted(set(enumerate_induced_copies(g, p))):
+        rep = copy_is_f_heavy(g, copy, pattern_name=p.name)
+        if not rep.verdict:
+            return ConditionReport(f"{p.name}-f-heavy", False, rep.violations)
+    return ConditionReport(f"{p.name}-f-heavy", True)
+
+
+def test_R_f_heavy_report_matches_first_light_copy_rule():
+    hosts = [g for n in range(8) for g in _reps(n)]
+    rng = random.Random(47)
+    for i in range(1000):
+        # sparse and dense halves
+        p = rng.uniform(0.1, 0.35) if i % 2 else rng.uniform(0.5, 0.8)
+        hosts.append(random_graph(rng, rng.randint(4, 14), p))
+    failures = 0
+    for g in hosts:
+        for p in ORACLE_PATTERNS:
+            expected = _first_light_copy_report(g, p)
+            assert is_R_f_heavy(g, p) == expected, (g, p.name)
+            failures += not expected.verdict
+    assert failures > 3000
+
+
+def _relabelled_edge_sets(p):
+    """Edge sets of every relabelling of the pattern, as pairs of positions."""
+    k = p.graph.n
+    return {frozenset((min(perm[u], perm[v]), max(perm[u], perm[v]))
+                      for u, v in p.graph.edges())
+            for perm in permutations(range(k))}
+
+
+def _brute_force_report(g, p, shapes):
+    """Scan every k-subset in lexicographic order; the first one that
+    induces the pattern and holds two light vertices with a common
+    neighbour inside it, non-adjacent, is the witness."""
+    k = p.graph.n
+    light = [2 * g.degree(v) < g.n for v in range(g.n)]
+    for sub in combinations(range(g.n), k):
+        edges = frozenset((i, j) for i, j in combinations(range(k), 2)
+                          if g.has_edge(sub[i], sub[j]))
+        if edges not in shapes:
+            continue
+        for u, v in combinations(sub, 2):
+            if (light[u] and light[v] and not g.has_edge(u, v)
+                    and any(g.has_edge(u, w) and g.has_edge(v, w) for w in sub)):
+                return ConditionReport(f"{p.name}-f-heavy", False, (Violation(
+                    kind="light-pair", threshold_n=g.n, pattern=p.name, subset=sub,
+                    pair=(u, v), degrees=(g.degree(u), g.degree(v))),))
+    return ConditionReport(f"{p.name}-f-heavy", True)
+
+
+def test_R_f_heavy_report_matches_subset_scan():
+    # p9 is left out: its 9! relabellings make the scan slow
+    pats = [p for p in ORACLE_PATTERNS if p.graph.n <= 8]
+    shapes = {p.name: _relabelled_edge_sets(p) for p in pats}
+    rng = random.Random(53)
+    failures = 0
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(4, 9), rng.uniform(0.15, 0.8))
+        for p in pats:
+            expected = _brute_force_report(g, p, shapes[p.name])
+            assert is_R_f_heavy(g, p) == expected, (g, p.name)
+            failures += not expected.verdict
+    assert failures > 300

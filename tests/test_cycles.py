@@ -145,3 +145,51 @@ def test_expand_o_cycle_randomized_never_violates():
         c = expand_o_cycle(g, oc)  # raises LemmaViolationError on failure
         assert is_valid_cycle(g, c)
         assert set(oc.seq) <= set(c)
+
+
+def held_karp_hamiltonian(g):
+    """Bitmask DP over (visited set, end vertex) (Bellman 1962; Held and
+    Karp 1962).  ends[S], for S a set of vertices other than 0, holds the
+    vertices v in S that end a path from 0 through exactly S + {0}."""
+    n = g.n
+    if n < 3:
+        return False
+    adj = g.adj
+    size = 1 << (n - 1)  # bit i of S stands for vertex i + 1
+    ends = [0] * size
+    for v in range(1, n):
+        if adj[0] >> v & 1:
+            ends[1 << (v - 1)] = 1 << (v - 1)
+    for s in range(1, size):
+        if not s & (s - 1):
+            continue
+        found = 0
+        rest = s
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            # adj[v] >> 1 puts the neighbours of v in the same bit layout as S
+            if ends[s ^ low] & (adj[low.bit_length()] >> 1):
+                found |= low
+        ends[s] = found
+    return bool(ends[size - 1] & (adj[0] >> 1))
+
+
+def test_hamilton_agrees_with_held_karp():
+    rng = random.Random(59)
+    verdicts = []
+    for _ in range(60):
+        n = rng.randint(10, 16)
+        # near the Hamiltonicity threshold, so both verdicts occur
+        g = random_graph(rng, n, rng.uniform(1.2, 2.6) * 2 / n)
+        expected = held_karp_hamiltonian(g)
+        assert (find_hamilton_cycle(g) is not None) == expected, g
+        verdicts.append(expected)
+    assert 10 <= sum(verdicts) <= 50
+
+
+def test_held_karp_agrees_with_brute_force():
+    rng = random.Random(61)
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(1, 8))
+        assert held_karp_hamiltonian(g) == hamiltonian_brute_force(g)

@@ -57,6 +57,9 @@ def test_pattern_from_graph6_spec():
     assert is_isomorphic_small(p.graph, cycle_graph(4))
     with pytest.raises(ValueError):
         pattern_from_spec("!!nope!!")
+    with pytest.raises(ValueError, match="no vertices"):
+        pattern_from_spec("?")  # K0
+    assert pattern_from_spec("@").graph.n == 1
 
 
 def test_enumeration_examples():

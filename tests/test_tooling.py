@@ -6,9 +6,13 @@ make `bench/run.py --trace 1` fail, so every listed name must resolve.
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "bench" / "spans.py"
 
 
 def _load_spans():
@@ -27,3 +31,16 @@ def test_traced_names_resolve():
     for mod_name, cls_name, meth in spans.METHODS:
         cls = getattr(importlib.import_module(f"{spans.PACKAGE}.{mod_name}"), cls_name)
         assert callable(cls.__dict__.get(meth)), f"{mod_name}.{cls_name}.{meth}"
+
+
+def test_traced_benchmark_rechecks_every_result():
+    # the benchmark re-checks every witness with its own oracles
+    # (bench/oracles.py), and a traced run wraps every listed function
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "fheavy-random", "--tiny",
+         "--seconds", "0.5", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert (result["correct"], result["failed"]) == (True, 0)
+    assert result["attempted"] > 0
