@@ -27,7 +27,7 @@ from .cycles import find_hamilton_cycle
 from .graph import Graph
 from .graphio import (GraphFormatError, decode_edge_list, decode_graph6,
                       encode_graph6, read_corpus)
-from .patterns import has_induced_copy, pattern, pattern_from_spec
+from .patterns import pattern, pattern_from_spec
 from .witness import WitnessSpecError, build_witness, classify_witness
 
 CONDITIONS = ("fan", "2heavy", "f-heavy", "free", "thm4", "thm5")
@@ -79,12 +79,9 @@ def evaluate_condition(g: Graph, name: str, patterns_spec: str) -> conditions.Co
         return conditions.is_family_f_heavy(g, _patterns_arg(patterns_spec))
     if name == "free":
         for p in _patterns_arg(patterns_spec):
-            copy = has_induced_copy(g, p)
-            if copy is not None:
-                return conditions.ConditionReport(
-                    f"{p.name}-free", False,
-                    (conditions.Violation(kind="forbidden-copy", threshold_n=g.n,
-                                          pattern=p.name, subset=copy),))
+            violation = conditions.forbidden_copy(g, p)
+            if violation is not None:
+                return conditions.ConditionReport(f"{p.name}-free", False, (violation,))
         return conditions.ConditionReport("free", True)
     if name == "thm4":
         return conditions.theorem4_condition(g)
@@ -182,7 +179,7 @@ def cmd_verify(args) -> int:
             summary = verify_corpus(fh, args.theorem,
                                     require_2connected=not args.no_2connected_gate,
                                     workers=args.workers)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     print(json.dumps(summary.to_dict(), sort_keys=True))

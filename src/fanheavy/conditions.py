@@ -231,26 +231,28 @@ def theorem5_condition(g: Graph) -> ConditionReport:
     return ConditionReport("thm5", False, deer_rep.violations + hour_rep.violations)
 
 
+def forbidden_copy(g: Graph, p: Pattern) -> Violation | None:
+    """A `forbidden-copy` violation on the first copy of p in search
+    order, or None when g is p-free."""
+    copy = has_induced_copy(g, p)
+    if copy is None:
+        return None
+    return Violation(kind="forbidden-copy", threshold_n=g.n, pattern=p.name, subset=copy)
+
+
 def theorem4_condition(g: Graph) -> ConditionReport:
     """2-heavy and ({p7,deer}-free or {p7,hourglass}-free)."""
     heavy_rep = is_2_heavy(g)
     if not heavy_rep.verdict:
         return ConditionReport("thm4", False, heavy_rep.violations)
-    p7_copy = has_induced_copy(g, pattern("p7"))
-    if p7_copy is not None:
+    p7 = forbidden_copy(g, pattern("p7"))
+    if p7 is not None:
         # a single p7 copy defeats both freeness alternatives
-        return ConditionReport("thm4", False, (Violation(
-            kind="forbidden-copy", threshold_n=g.n, pattern="p7",
-            subset=p7_copy),))
-    deer_copy = has_induced_copy(g, pattern("deer"))
-    if deer_copy is None:
+        return ConditionReport("thm4", False, (p7,))
+    deer = forbidden_copy(g, pattern("deer"))
+    if deer is None:
         return ConditionReport("thm4", True)
-    hour_copy = has_induced_copy(g, pattern("hourglass"))
-    if hour_copy is None:
+    hourglass = forbidden_copy(g, pattern("hourglass"))
+    if hourglass is None:
         return ConditionReport("thm4", True)
-    return ConditionReport("thm4", False, (
-        Violation(kind="forbidden-copy", threshold_n=g.n, pattern="deer",
-                  subset=deer_copy),
-        Violation(kind="forbidden-copy", threshold_n=g.n, pattern="hourglass",
-                  subset=hour_copy),
-    ))
+    return ConditionReport("thm4", False, (deer, hourglass))

@@ -125,7 +125,7 @@ def find_cycle_through(g: Graph, required: set[int] | tuple[int, ...]) -> tuple[
     if not req:
         # any cycle at all: anchor on each vertex in turn
         for v in range(g.n):
-            c = find_cycle_through(g, {v})
+            c = _cycle_search(g, v, 1 << v)
             if c is not None:
                 return c
         return None

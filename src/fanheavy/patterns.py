@@ -1,5 +1,9 @@
 """Catalog of the small pattern graphs and induced-copy search.
 
+A `Pattern` derives its copy-search plans once, when it is built, and
+keeps them.  The catalog patterns are module constants: `pattern(name)`
+returns the shared instance, so no search rebuilds a plan.
+
 One backtracking search (`_induced_copies`) serves every entry point:
 `enumerate_induced_copies` collects every copy, `has_induced_copy` stops
 at the first, and `conditions.is_R_f_heavy` walks it lazily and, on
@@ -14,7 +18,7 @@ Canonical pattern numbering (frozen so fixtures stay stable):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from .graph import Graph, iter_bits, path_graph
@@ -22,42 +26,67 @@ from .graph import Graph, iter_bits, path_graph
 ISO_MAX_N = 10
 
 
+def _search_links(p: Graph, root: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Map `root` first, then always a vertex adjacent to a mapped one
+    when possible.  Entry pos lists the (earlier position, adjacent in the
+    pattern) pairs of position pos."""
+    deg = [row.bit_count() for row in p.adj]
+    order = [root]
+    placed = 1 << root
+    while len(order) < p.n:
+        best = None
+        for v in range(p.n):
+            if (placed >> v) & 1:
+                continue
+            anchored = (p.adj[v] & placed).bit_count()
+            key = (anchored, deg[v], -v)
+            if best is None or key > best[0]:
+                best = (key, v)
+        order.append(best[1])
+        placed |= 1 << best[1]
+    return tuple(tuple((j, (p.adj[v] >> order[j]) & 1) for j in range(pos))
+                 for pos, v in enumerate(order))
+
+
 @dataclass(frozen=True)
 class Pattern:
+    """A named pattern graph and the copy-search plans built with it.
+
+    `plan` maps a vertex of max degree (the lowest such index) first;
+    `rooted` holds the plan of each root vertex, equal plans once.
+    """
     name: str
     graph: Graph
+    plan: tuple = field(init=False, repr=False, compare=False)
+    rooted: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        g = self.graph
+        by_root = [_search_links(g, root) for root in range(g.n)]
+        first = max(range(g.n), key=lambda v: (g.adj[v].bit_count(), -v), default=None)
+        object.__setattr__(self, "plan", () if first is None else by_root[first])
+        object.__setattr__(self, "rooted", tuple(dict.fromkeys(by_root)))
 
 
-def _claw() -> Graph:
-    return Graph(4, [(0, 1), (0, 2), (0, 3)])
-
-
-def _deer() -> Graph:
-    return Graph(7, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 4), (1, 5), (5, 6)])
-
-
-def _hourglass() -> Graph:
-    return Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
-
-
-_CATALOG = {
-    "claw": _claw,
-    "p4": lambda: path_graph(4),
-    "p5": lambda: path_graph(5),
-    "p6": lambda: path_graph(6),
-    "p7": lambda: path_graph(7),
-    "deer": _deer,
-    "hourglass": _hourglass,
-}
+_CATALOG = {p.name: p for p in (
+    Pattern("claw", Graph(4, [(0, 1), (0, 2), (0, 3)])),
+    Pattern("p4", path_graph(4)),
+    Pattern("p5", path_graph(5)),
+    Pattern("p6", path_graph(6)),
+    Pattern("p7", path_graph(7)),
+    Pattern("deer", Graph(7, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 4), (1, 5), (5, 6)])),
+    Pattern("hourglass", Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])),
+)}
 
 CATALOG_NAMES = tuple(_CATALOG)
 
 
 def pattern(name: str) -> Pattern:
+    """The shared catalog instance named `name` (any case)."""
     key = name.lower()
     if key not in _CATALOG:
         raise ValueError(f"unknown pattern {name!r} (known: {', '.join(CATALOG_NAMES)})")
-    return Pattern(key, _CATALOG[key]())
+    return _CATALOG[key]
 
 
 def pattern_from_spec(token: str) -> Pattern:
@@ -120,34 +149,10 @@ def is_isomorphic_small(g1: Graph, g2: Graph) -> bool:
     return extend(0)
 
 
-def _search_links(p: Graph, root: int | None = None) -> list[list[tuple[int, int]]]:
-    """Map `root` (by default a vertex of max degree) first, then always a
-    vertex adjacent to a mapped one when possible.  Entry pos lists the
-    (earlier position, adjacent in the pattern) pairs of position pos."""
-    deg = [row.bit_count() for row in p.adj]
-    if root is None:
-        root = max(range(p.n), key=lambda v: (deg[v], -v))
-    order = [root]
-    placed = 1 << root
-    while len(order) < p.n:
-        best = None
-        for v in range(p.n):
-            if (placed >> v) & 1:
-                continue
-            anchored = (p.adj[v] & placed).bit_count()
-            key = (anchored, deg[v], -v)
-            if best is None or key > best[0]:
-                best = (key, v)
-        order.append(best[1])
-        placed |= 1 << best[1]
-    return [[(j, (p.adj[v] >> order[j]) & 1) for j in range(pos)]
-            for pos, v in enumerate(order)]
-
-
 def _induced_copies(g: Graph, p: Pattern, by_min: bool = False) -> Iterator[int]:
     """Yield the host vertex bitmask of every embedding of the pattern.
 
-    Pattern vertices are mapped one at a time in `_search_links` order.
+    Pattern vertices are mapped one at a time in the order of `p.plan`.
     The candidates of each position are the hosts adjacent to the images
     of its pattern neighbours and non-adjacent to (and distinct from) the
     other mapped images.  An explicit stack holds the untried candidates
@@ -158,22 +163,17 @@ def _induced_copies(g: Graph, p: Pattern, by_min: bool = False) -> Iterator[int]
     a = 0, 1, ... the host is cut to the vertices >= a, and each pattern
     vertex in turn is mapped to a first.  Every copy with smallest vertex
     a is found with the pattern vertex that maps to a as the root.  Roots
-    with equal plans yield the same copies, so only the first of them runs.
+    with equal plans yield the same copies, so `p.rooted` holds each once.
     """
-    pg = p.graph
-    k = pg.n
+    k = p.graph.n
     if k == 0 or k > g.n:
         return
     full = g.full_mask()
     if by_min:
-        plans = []
-        for root in range(k):
-            links = _search_links(pg, root)
-            if links not in plans:
-                plans.append(links)
-        starts = ((links, 1 << a, full >> a << a) for a in range(g.n - k + 1) for links in plans)
+        starts = ((links, 1 << a, full >> a << a)
+                  for a in range(g.n - k + 1) for links in p.rooted)
     else:
-        starts = [(_search_links(pg), full, full)]
+        starts = ((p.plan, full, full),)
     adj = g.adj
     image = [0] * k
     chosen = [0] * k

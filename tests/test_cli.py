@@ -161,6 +161,16 @@ def test_verify_reports_parse_errors_and_continues(tmp_path, capsys):
     assert summary["parse_errors"][0]["line"] == 2
 
 
+@pytest.mark.parametrize("argv", [("verify", "--theorem", "thm1"),
+                                  ("hunt", "--r", "p7", "--s", "deer")], ids=["verify", "hunt"])
+def test_corpus_not_utf8_exit2(tmp_path, capsys, argv):
+    path = tmp_path / "bad.g6"
+    path.write_bytes(b"C~\n\xff\xfe\n")
+    code, out, err = run(capsys, *argv, "--corpus", path)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
 def test_verify_workers_match_serial(tmp_path, capsys):
     graphs = [complete_graph(n) for n in range(3, 8)] + [petersen(), cycle_graph(6)]
     path = tmp_path / "corpus.g6"

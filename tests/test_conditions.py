@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations, permutations
 
@@ -8,7 +9,7 @@ from fanheavy.conditions import (ConditionReport, Violation, copy_is_f_heavy,
                                  is_family_f_heavy, is_heavy, satisfies_fan,
                                  theorem4_condition, theorem5_condition)
 from fanheavy.graph import Graph, complete_graph, cycle_graph, path_graph
-from fanheavy.patterns import (CATALOG_NAMES, Pattern, enumerate_induced_copies,
+from fanheavy.patterns import (CATALOG_NAMES, Pattern, enumerate_induced_copies, has_induced_copy,
                                pattern, pattern_from_spec, path_graph as _pg)
 
 from conftest import _reps, k23
@@ -257,3 +258,19 @@ def test_R_f_heavy_report_matches_subset_scan():
             assert is_R_f_heavy(g, p) == expected, (g, p.name)
             failures += not expected.verdict
     assert failures > 300
+
+
+def test_search_results_are_pinned():
+    # The first copy in search order is not the lexicographically first,
+    # so this digest pins the default search order (and with it the thm4
+    # forbidden-copy witnesses) as well as the f-heavy and theorem reports.
+    rng = random.Random(2026)
+    hosts = [g for n in range(1, 8) for g in _reps(n)]
+    hosts += [random_graph(rng, rng.randint(4, 13)) for _ in range(300)]
+    digest = hashlib.sha256()
+    for g in hosts:
+        for name in CATALOG_NAMES:
+            p = pattern(name)
+            digest.update(repr((has_induced_copy(g, p), is_R_f_heavy(g, p))).encode())
+        digest.update(repr((theorem4_condition(g), theorem5_condition(g))).encode())
+    assert digest.hexdigest() == "7e4ef19344792f057686b21327a9d473c2cf4a32ada7a62e44e6c31e4647f207"

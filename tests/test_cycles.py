@@ -7,7 +7,7 @@ from fanheavy.cycles import (OCycle, expand_o_cycle,
                              find_cycle_through, find_hamilton_cycle,
                              hamiltonian_brute_force, heavy_vertices,
                              is_valid_cycle, make_o_cycle, normalize_cycle)
-from fanheavy.graph import Graph, complete_graph, cycle_graph
+from fanheavy.graph import Graph, complete_graph, cycle_graph, path_graph
 
 from conftest import k23, petersen
 
@@ -69,8 +69,11 @@ def test_heavy_vertices_examples():
 def test_cycle_through_examples():
     c = find_cycle_through(complete_graph(4), {0, 1, 2, 3})
     assert c is not None and len(c) == 4 and is_valid_cycle(complete_graph(4), c)
-    c = find_cycle_through(petersen(), set())
-    assert c is not None and is_valid_cycle(petersen(), c)
+    assert find_cycle_through(petersen(), set()) == (0, 1, 2, 3, 4)
+    # no required vertex: the first vertex on any cycle anchors the search
+    tailed_triangle = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (3, 5)])
+    assert find_cycle_through(tailed_triangle, ()) == (3, 4, 5)
+    assert find_cycle_through(path_graph(5), ()) is None
     hourglass = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
     assert find_cycle_through(hourglass, {1, 3}) is None
 

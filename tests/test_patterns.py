@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from fanheavy.conditions import is_R_f_heavy
 from fanheavy.graph import Graph, complete_graph, cycle_graph, path_graph
 from fanheavy.patterns import (CATALOG_NAMES, Pattern, enumerate_induced_copies, has_induced_copy,
                                is_isomorphic_small, pattern)
@@ -48,6 +49,36 @@ def test_custom_pattern():
     p = Pattern("c4", cycle_graph(4))
     assert len(enumerate_induced_copies(complete_graph(4), p)) == 0
     assert enumerate_induced_copies(cycle_graph(4), p) == [(0, 1, 2, 3)]
+
+
+def test_searches_use_the_plans_built_with_the_pattern(monkeypatch):
+    assert all(pattern(name) is pattern(name.upper()) for name in CATALOG_NAMES)
+    pats = [pattern(name) for name in CATALOG_NAMES] + [Pattern("p8", path_graph(8))]
+
+    # disjoint copies of them all: every vertex is light, so each
+    # is_R_f_heavy call fails and runs the anchored search too
+    edges, n = [], 0
+    for p in pats:
+        edges += [(u + n, v + n) for u, v in p.graph.edges()]
+        n += p.graph.n
+    g = Graph(n, edges)
+
+    def rebuilt(*args):
+        raise AssertionError("a search rebuilt a plan")
+    monkeypatch.setattr("fanheavy.patterns._search_links", rebuilt)
+    for p in pats:
+        assert has_induced_copy(g, p) is not None
+        assert enumerate_induced_copies(g, p)
+        assert not is_R_f_heavy(g, p).verdict
+
+
+def test_empty_pattern_has_no_copies():
+    k0 = Pattern("k0", Graph(0))
+    assert k0 == Pattern("k0", Graph(0)) and k0.plan == k0.rooted == ()
+    for g in (Graph(0), complete_graph(3), cycle_graph(6)):
+        assert enumerate_induced_copies(g, k0) == []
+        assert has_induced_copy(g, k0) is None
+        assert is_R_f_heavy(g, k0).verdict
 
 
 def test_pattern_from_graph6_spec():

@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "bench" / "spans.py"
 
@@ -33,11 +35,12 @@ def test_traced_names_resolve():
         assert callable(cls.__dict__.get(meth)), f"{mod_name}.{cls_name}.{meth}"
 
 
-def test_traced_benchmark_rechecks_every_result():
+@pytest.mark.parametrize("workload", ["fheavy-random", "verify-n8"])
+def test_traced_benchmark_rechecks_every_result(workload):
     # the benchmark re-checks every witness with its own oracles
     # (bench/oracles.py), and a traced run wraps every listed function
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "fheavy-random", "--tiny",
+        [sys.executable, "bench/run.py", "--workload", workload, "--tiny",
          "--seconds", "0.5", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
