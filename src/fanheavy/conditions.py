@@ -190,8 +190,12 @@ def is_2_heavy(g: Graph) -> ConditionReport:
     """Every induced claw has at least two heavy end vertices.
 
     Implemented by counting heavy ends per claw copy (not via the
-    claw-f-heavy equivalence, which the test suite checks against).
+    claw-f-heavy equivalence, which the test suite checks against).  Two
+    light ends of a claw share its centre and are non-adjacent, so a host
+    with no light distance-2 pair (Fan's condition) needs no count.
     """
+    if not any(_light_partners(g)):
+        return ConditionReport("2-heavy", True)
     claw = pattern("claw")
     for copy in enumerate_induced_copies(g, claw):
         center = next(v for v in copy

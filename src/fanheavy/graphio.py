@@ -92,16 +92,19 @@ def decode_edge_list(text: str) -> Graph:
         raise GraphFormatError("line 1: expected integer header 'n m'")
     if len(lines) - 1 != m:
         raise GraphFormatError(f"expected {m} edge lines, got {len(lines) - 1}")
-    edges = []
+    edges = {}
     for i, ln in enumerate(lines[1:], start=2):
         parts = ln.split()
         if len(parts) != 2:
             raise GraphFormatError(f"line {i}: expected edge 'u v'")
         try:
-            edges.append((int(parts[0]), int(parts[1])))
+            u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise GraphFormatError(f"line {i}: expected integer edge 'u v'")
-    return Graph(n, edges)
+        if frozenset((u, v)) in edges:
+            raise GraphFormatError(f"line {i}: repeated edge ({u},{v})")
+        edges[frozenset((u, v))] = (u, v)
+    return Graph(n, edges.values())
 
 
 def read_corpus(

@@ -2,7 +2,9 @@
 
 A `Pattern` derives its copy-search plans once, when it is built, and
 keeps them.  The catalog patterns are module constants: `pattern(name)`
-returns the shared instance, so no search rebuilds a plan.
+returns the shared instance, so no search rebuilds a plan.  A plan
+carries lex-leader constraints from the pattern's automorphism group, so
+the search meets each copy once, not once per automorphism.
 
 One backtracking search (`_induced_copies`) serves every entry point:
 `enumerate_induced_copies` collects every copy, `has_induced_copy` stops
@@ -26,10 +28,20 @@ from .graph import Graph, iter_bits, path_graph
 ISO_MAX_N = 10
 
 
-def _search_links(p: Graph, root: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+def _search_plan(p: Graph, root: int) -> tuple[tuple, tuple, int]:
     """Map `root` first, then always a vertex adjacent to a mapped one
-    when possible.  Entry pos lists the (earlier position, adjacent in the
-    pattern) pairs of position pos."""
+    when possible.  Returns (links, after, orbit): links[pos] lists the
+    (earlier position, adjacent in the pattern) pairs of position pos.
+
+    Let v_i be the vertex of position i and G_i the automorphisms of p
+    fixing v_0 .. v_{i-1}.  An embedding is the lexicographically least
+    of its Aut(p)-orbit exactly when, for every i, it maps the rest of
+    the G_i-orbit of v_i (all at later positions) above v_i: the
+    lex-leader rule.  after[pos] is the latest such i for the vertex of
+    pos, or -1; the earlier ones follow, as their constraints chain.  Each
+    orbit comes from one automorphism search per vertex, never from
+    listing the group.  `orbit` is the Aut(p)-orbit of root, a bitmask.
+    """
     deg = [row.bit_count() for row in p.adj]
     order = [root]
     placed = 1 << root
@@ -44,16 +56,47 @@ def _search_links(p: Graph, root: int) -> tuple[tuple[tuple[int, int], ...], ...
                 best = (key, v)
         order.append(best[1])
         placed |= 1 << best[1]
-    return tuple(tuple((j, (p.adj[v] >> order[j]) & 1) for j in range(pos))
-                 for pos, v in enumerate(order))
+    links = tuple(tuple((j, (p.adj[v] >> order[j]) & 1) for j in range(pos))
+                  for pos, v in enumerate(order))
+    same = [sum(1 << w for w in range(p.n) if deg[w] == deg[v]) for v in order]
+    after = [-1] * p.n
+    orbit = 1 << root
+    for i, v in enumerate(order):
+        fixed = [1 << u for u in order[:i]]
+        for q, w in enumerate(order[i + 1:], i + 1):
+            # an automorphism fixing v_0 .. v_{i-1} keeps degree and adjacency to them
+            if deg[w] != deg[v] or (p.adj[v] ^ p.adj[w]) & sum(fixed):
+                continue
+            if _isomorphism_exists(p, p, order, fixed + [1 << w] + same[i + 1:]):
+                after[q] = i
+                if i == 0:
+                    orbit |= 1 << w
+    return links, tuple(after), orbit
+
+
+def _isomorphism_exists(g1: Graph, g2: Graph, order: list[int], cands: list[int]) -> bool:
+    """Whether some isomorphism g1 -> g2 maps the vertex order[pos] into
+    the bitmask cands[pos] for every pos.  Vertices are mapped in `order`,
+    and each choice cuts the candidates of the later ones to the hosts
+    that keep adjacency to it, so a dead end shows at once."""
+    if not order:
+        return True
+    v, later = order[0], order[1:]
+    for w in iter_bits(cands[0]):
+        cut = [c & (g2.adj[w] if (g1.adj[v] >> u) & 1 else ~(g2.adj[w] | (1 << w)))
+               for u, c in zip(later, cands[1:])]
+        if all(cut) and _isomorphism_exists(g1, g2, later, cut):
+            return True
+    return False
 
 
 @dataclass(frozen=True)
 class Pattern:
     """A named pattern graph and the copy-search plans built with it.
 
-    `plan` maps a vertex of max degree (the lowest such index) first;
-    `rooted` holds the plan of each root vertex, equal plans once.
+    A plan is the pair (links, after) of `_search_plan`.  `plan` maps a
+    vertex of max degree (the lowest such index) first; `rooted` holds the
+    plan of the lowest root of each Aut-orbit of vertices.
     """
     name: str
     graph: Graph
@@ -62,10 +105,16 @@ class Pattern:
 
     def __post_init__(self) -> None:
         g = self.graph
-        by_root = [_search_links(g, root) for root in range(g.n)]
+        by_root, covered = {}, 0
+        for root in range(g.n):
+            if not (covered >> root) & 1:
+                links, after, orbit = _search_plan(g, root)
+                by_root[root] = (links, after)
+                covered |= orbit
+        # the lowest vertex of max degree is the lowest of its orbit
         first = max(range(g.n), key=lambda v: (g.adj[v].bit_count(), -v), default=None)
         object.__setattr__(self, "plan", () if first is None else by_root[first])
-        object.__setattr__(self, "rooted", tuple(dict.fromkeys(by_root)))
+        object.__setattr__(self, "rooted", tuple(by_root.values()))
 
 
 _CATALOG = {p.name: p for p in (
@@ -117,36 +166,10 @@ def is_isomorphic_small(g1: Graph, g2: Graph) -> bool:
     deg2 = [g2.degree(v) for v in range(g2.n)]
     if sorted(deg1) != sorted(deg2):
         return False
-    n = g1.n
     # map vertices of g1 in decreasing-degree order; ties by index
-    order = sorted(range(n), key=lambda v: (-deg1[v], v))
-    image = [-1] * n
-    used = 0
-
-    def extend(pos: int) -> bool:
-        nonlocal used
-        if pos == n:
-            return True
-        v = order[pos]
-        for w in range(n):
-            if (used >> w) & 1 or deg2[w] != deg1[v]:
-                continue
-            ok = True
-            for prev in order[:pos]:
-                if ((g1.adj[v] >> prev) & 1) != ((g2.adj[w] >> image[prev]) & 1):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            image[v] = w
-            used |= 1 << w
-            if extend(pos + 1):
-                return True
-            used ^= 1 << w
-            image[v] = -1
-        return False
-
-    return extend(0)
+    order = sorted(range(g1.n), key=lambda v: (-deg1[v], v))
+    return _isomorphism_exists(g1, g2, order, [
+        sum(1 << w for w in range(g2.n) if deg2[w] == deg1[v]) for v in order])
 
 
 def _induced_copies(g: Graph, p: Pattern, by_min: bool = False) -> Iterator[int]:
@@ -154,30 +177,34 @@ def _induced_copies(g: Graph, p: Pattern, by_min: bool = False) -> Iterator[int]
 
     Pattern vertices are mapped one at a time in the order of `p.plan`.
     The candidates of each position are the hosts adjacent to the images
-    of its pattern neighbours and non-adjacent to (and distinct from) the
-    other mapped images.  An explicit stack holds the untried candidates
-    of each position, and the lowest host is tried first.  A copy is
-    yielded once per automorphism of the pattern.
+    of its pattern neighbours, non-adjacent to (and distinct from) the
+    other mapped images and above the image of position `after[pos]`.
+    An explicit stack holds the untried candidates of each position, and
+    the lowest host is tried first, so embeddings come in lexicographic
+    order of their image vectors.  The `after` cuts keep only the least
+    embedding of each Aut-orbit, so each copy comes once, and the first
+    copy found is the same as without them: the least embedding of all
+    is the least of its own orbit.
 
     With `by_min`, the copies come in order of their smallest vertex: for
-    a = 0, 1, ... the host is cut to the vertices >= a, and each pattern
-    vertex in turn is mapped to a first.  Every copy with smallest vertex
-    a is found with the pattern vertex that maps to a as the root.  Roots
-    with equal plans yield the same copies, so `p.rooted` holds each once.
+    a = 0, 1, ... the host is cut to the vertices >= a, and each root of
+    `p.rooted` in turn is mapped to a first.  Every copy with smallest
+    vertex a is found with a root that some embedding maps to a; those
+    roots form one Aut-orbit, of which `p.rooted` holds one.
     """
     k = p.graph.n
     if k == 0 or k > g.n:
         return
     full = g.full_mask()
     if by_min:
-        starts = ((links, 1 << a, full >> a << a)
-                  for a in range(g.n - k + 1) for links in p.rooted)
+        starts = ((plan, 1 << a, full >> a << a)
+                  for a in range(g.n - k + 1) for plan in p.rooted)
     else:
         starts = ((p.plan, full, full),)
     adj = g.adj
     image = [0] * k
     chosen = [0] * k
-    for links, first, allowed in starts:
+    for (links, after), first, allowed in starts:
         stack = [first]
         while stack:
             pos = len(stack) - 1
@@ -196,13 +223,16 @@ def _induced_copies(g: Graph, p: Pattern, by_min: bool = False) -> Iterator[int]
             for j, adjacent in links[pos + 1]:
                 host = image[j]
                 mask &= adj[host] if adjacent else ~(adj[host] | (1 << host))
+            j = after[pos + 1]
+            if j >= 0:
+                mask &= -(2 << image[j])
             stack.append(mask)
 
 
 def enumerate_induced_copies(g: Graph, p: Pattern) -> list[tuple[int, ...]]:
     """All vertex subsets of `g` inducing a copy of the pattern, each once
     as a sorted tuple, in lexicographic order."""
-    return sorted(tuple(iter_bits(m)) for m in set(_induced_copies(g, p)))
+    return sorted(tuple(iter_bits(m)) for m in _induced_copies(g, p))
 
 
 def has_induced_copy(g: Graph, p: Pattern) -> tuple[int, ...] | None:

@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from fanheavy.graph import Graph
+from fanheavy.graph import Graph, complete_graph, cycle_graph, path_graph
 from fanheavy.graphio import decode_graph6, encode_graph6
+from fanheavy.patterns import Pattern
 
 DATA = Path(__file__).parent / "data"
 
@@ -14,6 +15,17 @@ DATA = Path(__file__).parent / "data"
 GRAPH_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346,
                 9: 274668}
 TWO_CONNECTED_COUNTS = {3: 1, 4: 3, 5: 10, 6: 56, 7: 468, 8: 7123, 9: 194066}
+
+
+# custom patterns with large automorphism groups, beyond the catalog
+SYMMETRIC_PATTERNS = {p.name: p for p in (
+    Pattern("k4", complete_graph(4)), Pattern("c5", cycle_graph(5)),
+    Pattern("c6", cycle_graph(6)),
+    Pattern("k33", Graph(6, [(u, v) for u in range(3) for v in range(3, 6)])),
+    Pattern("k14", Graph(5, [(0, v) for v in range(1, 5)])),
+    Pattern("2k2", Graph(4, [(0, 1), (2, 3)])), Pattern("3k1", Graph(3)),
+    Pattern("p8", path_graph(8)),
+)}
 
 
 def petersen() -> Graph:

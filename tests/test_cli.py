@@ -106,6 +106,9 @@ def test_check_edge_list_input(tmp_path, capsys):
     path.write_text("5 3\n0 1\n1 2\n2 3\n")
     code, out, _ = run(capsys, "check", str(path), "--condition", "fan")
     assert code == 1 and json.loads(out)["violations"][0]["pair"] == [0, 2]
+    path.write_text("3 2\n0 1\n1 0\n")
+    code, out, err = run(capsys, "check", str(path), "--condition", "fan")
+    assert code == 2 and out == "" and err == "error: line 3: repeated edge (1,0)\n"
 
 
 def test_check_free_and_table_format(tmp_path, capsys):

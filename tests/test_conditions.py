@@ -12,7 +12,7 @@ from fanheavy.graph import Graph, complete_graph, cycle_graph, path_graph
 from fanheavy.patterns import (CATALOG_NAMES, Pattern, enumerate_induced_copies, has_induced_copy,
                                pattern, pattern_from_spec, path_graph as _pg)
 
-from conftest import _reps, k23
+from conftest import SYMMETRIC_PATTERNS, _reps, k23
 
 
 def random_graph(rng, n, p=None):
@@ -185,10 +185,12 @@ def test_false_reports_revalidate():
     assert seen_false > 100
 
 
-# every catalog pattern, two longer paths and a disconnected custom one
+# every catalog pattern, two longer paths, a disconnected custom one and
+# three whose vertices fall into few Aut-orbits (one root plan per orbit)
 ORACLE_PATTERNS = ([pattern(name) for name in CATALOG_NAMES]
                    + [Pattern("p8", _pg(8)), Pattern("p9", _pg(9)),
-                      pattern_from_spec("A?")])
+                      pattern_from_spec("A?")]
+                   + [SYMMETRIC_PATTERNS[name] for name in ("k33", "c5", "k14")])
 
 
 def _first_light_copy_report(g, p):
@@ -274,3 +276,12 @@ def test_search_results_are_pinned():
             digest.update(repr((has_induced_copy(g, p), is_R_f_heavy(g, p))).encode())
         digest.update(repr((theorem4_condition(g), theorem5_condition(g))).encode())
     assert digest.hexdigest() == "7e4ef19344792f057686b21327a9d473c2cf4a32ada7a62e44e6c31e4647f207"
+
+
+def test_n8_witnesses_are_pinned(reps8):
+    # every n = 8 class, the corpus `verify` runs: pins the 2-heavy,
+    # thm4 and thm5 verdicts and witnesses
+    digest = hashlib.sha256()
+    for g in reps8:
+        digest.update(repr((is_2_heavy(g), theorem4_condition(g), theorem5_condition(g))).encode())
+    assert digest.hexdigest() == "329faa363fe05877b35a03dfdfbf4452b6cdbf97708907a4c1f9d8cc24d1e671"

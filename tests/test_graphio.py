@@ -82,6 +82,14 @@ def test_edge_list_errors_carry_line_numbers():
         decode_edge_list("3 1\n0 x")
 
 
+def test_edge_list_rejects_repeated_edges():
+    # a repeat in either direction would merge into fewer edges than the header
+    for text, message in (("3 2\n0 1\n1 0\n", "line 3: repeated edge \\(1,0\\)"),
+                          ("3 3\n0 1\n1 2\n0 1\n", "line 4: repeated edge \\(0,1\\)")):
+        with pytest.raises(GraphFormatError, match=message):
+            decode_edge_list(text)
+
+
 def test_read_corpus_in_order():
     lines = [encode_graph6(cycle_graph(n)) for n in (3, 4, 5)]
     got = list(read_corpus(lines))

@@ -1,14 +1,16 @@
 import random
-from itertools import combinations
+import time
+from itertools import combinations, permutations
 
 import pytest
 
 from fanheavy.conditions import is_R_f_heavy
 from fanheavy.graph import Graph, complete_graph, cycle_graph, path_graph
-from fanheavy.patterns import (CATALOG_NAMES, Pattern, enumerate_induced_copies, has_induced_copy,
-                               is_isomorphic_small, pattern)
+from fanheavy.graphio import encode_graph6
+from fanheavy.patterns import (CATALOG_NAMES, Pattern, _induced_copies, enumerate_induced_copies,
+                               has_induced_copy, is_isomorphic_small, pattern, pattern_from_spec)
 
-from conftest import k23
+from conftest import SYMMETRIC_PATTERNS, _reps, k23
 
 
 def brute_force_copies(g, p):
@@ -65,7 +67,7 @@ def test_searches_use_the_plans_built_with_the_pattern(monkeypatch):
 
     def rebuilt(*args):
         raise AssertionError("a search rebuilt a plan")
-    monkeypatch.setattr("fanheavy.patterns._search_links", rebuilt)
+    monkeypatch.setattr("fanheavy.patterns._search_plan", rebuilt)
     for p in pats:
         assert has_induced_copy(g, p) is not None
         assert enumerate_induced_copies(g, p)
@@ -150,3 +152,78 @@ def test_has_induced_copy_agrees_with_enumeration():
             assert (first is None) == (not copies)
             if first is not None:
                 assert first in copies
+
+
+def _search_hosts(seed):
+    """Every class with n <= 6 and seeded random graphs with n <= 10."""
+    rng = random.Random(seed)
+    hosts = [g for n in range(7) for g in _reps(n)]
+    for _ in range(150):
+        n = rng.randint(4, 10)
+        p = rng.random()
+        hosts.append(Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+    return hosts
+
+
+def test_search_yields_each_copy_once():
+    pats = [pattern(name) for name in CATALOG_NAMES] + list(SYMMETRIC_PATTERNS.values())
+    for g in _search_hosts(59):
+        for p in pats:
+            for by_min in (False, True):
+                masks = list(_induced_copies(g, p, by_min))
+                assert len(masks) == len(set(masks)), (g, p.name, by_min)
+                copies = sorted(tuple(v for v in range(g.n) if (m >> v) & 1) for m in masks)
+                assert copies == brute_force_copies(g, p), (g, p.name, by_min)
+
+
+def _first_copy_unconstrained(g, links):
+    """The copy search with no symmetry cuts: plan positions mapped in
+    order, lowest host first; the host set of the first embedding."""
+    image = []
+
+    def extend():
+        if len(image) == len(links):
+            return True
+        for h in range(g.n):
+            if h not in image and all(g.has_edge(h, image[j]) == bool(adjacent)
+                                      for j, adjacent in links[len(image)]):
+                image.append(h)
+                if extend():
+                    return True
+                image.pop()
+        return False
+
+    return tuple(sorted(image)) if extend() else None
+
+
+def test_first_copy_unchanged_by_symmetry_cuts():
+    hits = 0
+    for g in _search_hosts(61):
+        for p in SYMMETRIC_PATTERNS.values():
+            first = has_induced_copy(g, p)
+            assert first == _first_copy_unconstrained(g, p.plan[0]), (g, p.name)
+            hits += first is not None
+    assert hits > 500
+
+
+def _orbit_count(p):
+    """Aut(p)-orbits of vertices, from every permutation of p."""
+    edges = {frozenset(e) for e in p.graph.edges()}
+    k = p.graph.n
+    autos = [perm for perm in permutations(range(k))
+             if all(frozenset((perm[u], perm[v])) in edges for u, v in p.graph.edges())]
+    return len({frozenset(perm[v] for perm in autos) for v in range(k)})
+
+
+def test_rooted_plans_one_per_orbit():
+    for p in [pattern(name) for name in CATALOG_NAMES] + list(SYMMETRIC_PATTERNS.values()):
+        assert len(p.rooted) == _orbit_count(p), p.name
+
+
+def test_symmetric_patterns_build_fast():
+    for g in (complete_graph(12), Graph(12)):
+        t0 = time.perf_counter()
+        p = pattern_from_spec(encode_graph6(g))
+        assert time.perf_counter() - t0 < 1.0
+        assert len(p.rooted) == 1
+        assert enumerate_induced_copies(g, p) == [tuple(range(12))]
