@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import multiprocessing
 import os
 import sys
 import time
@@ -155,6 +154,7 @@ def verify_corpus(lines, theorem: str, require_2connected: bool = True,
     summary.corpus_size = len(graphs)
     tasks = [(g, theorem, require_2connected) for g in graphs]
     if workers > 1:
+        import multiprocessing
         with multiprocessing.Pool(workers) as pool:
             results = pool.map(_verify_one, tasks, chunksize=256)
     else:

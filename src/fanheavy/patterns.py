@@ -6,10 +6,11 @@ returns the shared instance, so no search rebuilds a plan.  A plan
 carries lex-leader constraints from the pattern's automorphism group, so
 the search meets each copy once, not once per automorphism.
 
-One backtracking search (`_induced_copies`) serves every entry point:
-`enumerate_induced_copies` collects every copy, `has_induced_copy` stops
-at the first, and `conditions.is_R_f_heavy` walks it lazily and, on
-failure, again in its anchored mode.
+One forward-checking search (`_embeddings`) finds the copies, the
+automorphisms behind the plans and the maps of `is_isomorphic_small`.
+Each mapped vertex cuts the hosts of every later position at once; a
+branch that leaves one none holds no embedding, so the yields are those
+of a search that meets the dead end only on reaching that position.
 
 Canonical pattern numbering (frozen so fixtures stay stable):
   claw       center 0, ends 1..3
@@ -28,73 +29,99 @@ from .graph import Graph, iter_bits, path_graph
 ISO_MAX_N = 10
 
 
-def _search_plan(p: Graph, root: int) -> tuple[tuple, tuple, int]:
+def _search_plan(p: Graph, root: int) -> tuple[tuple, int]:
     """Map `root` first, then always a vertex adjacent to a mapped one
-    when possible.  Returns (links, after, orbit): links[pos] lists the
-    (earlier position, adjacent in the pattern) pairs of position pos.
+    when possible.  Returns ((links, forward), orbit): links[pos] lists the
+    (earlier position, adjacent) pairs of pos, forward is its `_forward` table.
 
     Let v_i be the vertex of position i and G_i the automorphisms of p
     fixing v_0 .. v_{i-1}.  An embedding is the lexicographically least
     of its Aut(p)-orbit exactly when, for every i, it maps the rest of
     the G_i-orbit of v_i (all at later positions) above v_i: the
     lex-leader rule.  after[pos] is the latest such i for the vertex of
-    pos, or -1; the earlier ones follow, as their constraints chain.  Each
+    pos, or -1, and forward cuts there; the earlier ones follow.  Each
     orbit comes from one automorphism search per vertex, never from
     listing the group.  `orbit` is the Aut(p)-orbit of root, a bitmask.
     """
-    deg = [row.bit_count() for row in p.adj]
-    order = [root]
-    placed = 1 << root
-    while len(order) < p.n:
-        best = None
-        for v in range(p.n):
-            if (placed >> v) & 1:
-                continue
-            anchored = (p.adj[v] & placed).bit_count()
-            key = (anchored, deg[v], -v)
-            if best is None or key > best[0]:
-                best = (key, v)
-        order.append(best[1])
-        placed |= 1 << best[1]
-    links = tuple(tuple((j, (p.adj[v] >> order[j]) & 1) for j in range(pos))
+    n, adj = p.n, p.adj
+    deg = [row.bit_count() for row in adj]
+    rest = sorted(set(range(n)) - {root}, key=lambda v: (-deg[v], v))
+    order, placed = [root], 1 << root
+    while rest:
+        anchored = [(adj[v] & placed).bit_count() for v in rest]
+        v = rest.pop(anchored.index(max(anchored)))
+        order.append(v)
+        placed |= 1 << v
+    links = tuple(tuple((j, (adj[v] >> order[j]) & 1) for j in range(pos))
                   for pos, v in enumerate(order))
-    same = [sum(1 << w for w in range(p.n) if deg[w] == deg[v]) for v in order]
-    after = [-1] * p.n
-    orbit = 1 << root
+    uncut = _forward(p, order)
+    after = [-1] * n
+    orbit, fixed = 1 << root, 0
     for i, v in enumerate(order):
-        fixed = [1 << u for u in order[:i]]
         for q, w in enumerate(order[i + 1:], i + 1):
             # an automorphism fixing v_0 .. v_{i-1} keeps degree and adjacency to them
-            if deg[w] != deg[v] or (p.adj[v] ^ p.adj[w]) & sum(fixed):
+            if deg[w] != deg[v] or (adj[v] ^ adj[w]) & fixed:
                 continue
-            if _isomorphism_exists(p, p, order, fixed + [1 << w] + same[i + 1:]):
+            row = [1 << u for u in order[:i]] + [1 << w] + [p.full_mask()] * (n - i - 1)
+            if next(_embeddings(adj, n, [(uncut, row)]), 0):
                 after[q] = i
                 if i == 0:
                     orbit |= 1 << w
-    return links, tuple(after), orbit
+        fixed |= 1 << v
+    forward = tuple(tuple((q, a, after[q] == pos) for q, a, _ in row) if pos in after else row
+                    for pos, row in enumerate(uncut))
+    return (links, forward), orbit
 
 
-def _isomorphism_exists(g1: Graph, g2: Graph, order: list[int], cands: list[int]) -> bool:
-    """Whether some isomorphism g1 -> g2 maps the vertex order[pos] into
-    the bitmask cands[pos] for every pos.  Vertices are mapped in `order`,
-    and each choice cuts the candidates of the later ones to the hosts
-    that keep adjacency to it, so a dead end shows at once."""
-    if not order:
-        return True
-    v, later = order[0], order[1:]
-    for w in iter_bits(cands[0]):
-        cut = [c & (g2.adj[w] if (g1.adj[v] >> u) & 1 else ~(g2.adj[w] | (1 << w)))
-               for u, c in zip(later, cands[1:])]
-        if all(cut) and _isomorphism_exists(g1, g2, later, cut):
-            return True
-    return False
+def _forward(p: Graph, order: list[int]) -> tuple:
+    """forward[pos] lists a (later position q, adjacent in p, cut) triple
+    for each position after pos, in p's vertex `order`.  A set `cut` asks
+    the image of q to lie above that of pos; here none is set."""
+    return tuple(tuple((q, (p.adj[v] >> order[q]) & 1, False) for q in range(pos + 1, p.n))
+                 for pos, v in enumerate(order))
+
+
+def _embeddings(adj: list[int], k: int, starts) -> Iterator[int]:
+    """The host vertex bitmask of each k-vertex embedding in the host rows
+    `adj`, from each start (forward, row): a `_forward` table and the host
+    candidates of each position, cut as `_induced_copies` says.  rows[pos]
+    holds the candidates left for positions pos and later."""
+    rows = [[0] * k for _ in range(k)]
+    chosen = [0] * k
+    for forward, row in starts:
+        rows[0][:] = row
+        pos = 0
+        while pos >= 0:
+            cur = rows[pos]
+            cands = cur[pos]
+            if not cands:
+                pos -= 1
+                continue
+            low = cands & -cands
+            cur[pos] = cands ^ low
+            if pos + 1 == k:
+                yield chosen[pos] | low
+                continue
+            a = adj[low.bit_length() - 1]
+            na = ~(a | low)
+            nxt = rows[pos + 1]
+            for q, adjacent, cut in forward[pos]:
+                m = cur[q] & (a if adjacent else na)
+                if cut:
+                    m &= -(low << 1)
+                if not m:
+                    break
+                nxt[q] = m
+            else:
+                pos += 1
+                chosen[pos] = chosen[pos - 1] | low
 
 
 @dataclass(frozen=True)
 class Pattern:
     """A named pattern graph and the copy-search plans built with it.
 
-    A plan is the pair (links, after) of `_search_plan`.  `plan` maps a
+    A plan is the pair (links, forward) of `_search_plan`.  `plan` maps a
     vertex of max degree (the lowest such index) first; `rooted` holds the
     plan of the lowest root of each Aut-orbit of vertices.
     """
@@ -108,8 +135,7 @@ class Pattern:
         by_root, covered = {}, 0
         for root in range(g.n):
             if not (covered >> root) & 1:
-                links, after, orbit = _search_plan(g, root)
-                by_root[root] = (links, after)
+                by_root[root], orbit = _search_plan(g, root)
                 covered |= orbit
         # the lowest vertex of max degree is the lowest of its orbit
         first = max(range(g.n), key=lambda v: (g.adj[v].bit_count(), -v), default=None)
@@ -160,31 +186,29 @@ def is_isomorphic_small(g1: Graph, g2: Graph) -> bool:
     """Backtracking isomorphism test with degree pruning, for n <= 10."""
     if g1.n > ISO_MAX_N or g2.n > ISO_MAX_N:
         raise ValueError(f"isomorphism test limited to n <= {ISO_MAX_N}")
-    if g1.n != g2.n or g1.num_edges() != g2.num_edges():
-        return False
     deg1 = [g1.degree(v) for v in range(g1.n)]
     deg2 = [g2.degree(v) for v in range(g2.n)]
     if sorted(deg1) != sorted(deg2):
         return False
     # map vertices of g1 in decreasing-degree order; ties by index
     order = sorted(range(g1.n), key=lambda v: (-deg1[v], v))
-    return _isomorphism_exists(g1, g2, order, [
-        sum(1 << w for w in range(g2.n) if deg2[w] == deg1[v]) for v in order])
+    cands = [sum(1 << w for w in range(g2.n) if deg2[w] == deg1[v]) for v in order]
+    return g1.n == 0 or next(_embeddings(g2.adj, g1.n, [(_forward(g1, order), cands)]), 0) > 0
 
 
 def _induced_copies(g: Graph, p: Pattern, by_min: bool = False) -> Iterator[int]:
     """Yield the host vertex bitmask of every embedding of the pattern.
 
-    Pattern vertices are mapped one at a time in the order of `p.plan`.
-    The candidates of each position are the hosts adjacent to the images
-    of its pattern neighbours, non-adjacent to (and distinct from) the
-    other mapped images and above the image of position `after[pos]`.
-    An explicit stack holds the untried candidates of each position, and
-    the lowest host is tried first, so embeddings come in lexicographic
-    order of their image vectors.  The `after` cuts keep only the least
-    embedding of each Aut-orbit, so each copy comes once, and the first
-    copy found is the same as without them: the least embedding of all
-    is the least of its own orbit.
+    Pattern vertices are mapped in the order of `p.plan`, lowest host
+    first, so embeddings come in lexicographic order of their image
+    vectors.  A position's hosts are adjacent to the images of its pattern
+    neighbours, non-adjacent to (and distinct from) the other images and,
+    by the lex-leader cuts, above one earlier image.  Each image cuts the
+    hosts of all later positions at once, and a branch ends when one has
+    none left: it holds no embedding, so the yields are those of a search
+    that finds a position's hosts on reaching it.  The lex-leader cuts
+    keep the least embedding of each Aut-orbit, so each copy comes once,
+    and the first copy is the same as without them.
 
     With `by_min`, the copies come in order of their smallest vertex: for
     a = 0, 1, ... the host is cut to the vertices >= a, and each root of
@@ -197,36 +221,11 @@ def _induced_copies(g: Graph, p: Pattern, by_min: bool = False) -> Iterator[int]
         return
     full = g.full_mask()
     if by_min:
-        starts = ((plan, 1 << a, full >> a << a)
-                  for a in range(g.n - k + 1) for plan in p.rooted)
+        starts = ((forward, [1 << a] + [full >> a << a] * (k - 1))
+                  for a in range(g.n - k + 1) for _links, forward in p.rooted)
     else:
-        starts = ((p.plan, full, full),)
-    adj = g.adj
-    image = [0] * k
-    chosen = [0] * k
-    for (links, after), first, allowed in starts:
-        stack = [first]
-        while stack:
-            pos = len(stack) - 1
-            cands = stack[pos]
-            if not cands:
-                stack.pop()
-                continue
-            low = cands & -cands
-            stack[pos] = cands ^ low
-            if pos + 1 == k:
-                yield chosen[pos] | low
-                continue
-            chosen[pos + 1] = chosen[pos] | low
-            image[pos] = low.bit_length() - 1
-            mask = allowed
-            for j, adjacent in links[pos + 1]:
-                host = image[j]
-                mask &= adj[host] if adjacent else ~(adj[host] | (1 << host))
-            j = after[pos + 1]
-            if j >= 0:
-                mask &= -(2 << image[j])
-            stack.append(mask)
+        starts = ((p.plan[1], [full] * k),)
+    yield from _embeddings(g.adj, k, starts)
 
 
 def enumerate_induced_copies(g: Graph, p: Pattern) -> list[tuple[int, ...]]:

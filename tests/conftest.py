@@ -72,19 +72,27 @@ def two_connected_by_n() -> dict[int, list[Graph]]:
 
 
 @pytest.fixture(scope="session")
-def two_connected_9() -> list[Graph]:
-    """The 2-connected classes with n = 9, read from the file that
-    FANHEAVY_N9_CORPUS names or else tests/data/two_connected_9.g6.  A
-    missing file is generated and written first (about 2.5 min); it is
-    gitignored test data, not part of the repository."""
-    path = Path(os.environ.get("FANHEAVY_N9_CORPUS") or DATA / "two_connected_9.g6")
+def reduced_9() -> Path:
+    """The file of all 274668 classes with n = 9, one graph6 line each:
+    the file that FANHEAVY_N9_CORPUS names or else
+    tests/data/graphs9_reduced.g6.  A missing file is generated once and
+    written first (about 2.5 min); it is gitignored test data, not part
+    of the repository."""
+    path = Path(os.environ.get("FANHEAVY_N9_CORPUS") or DATA / "graphs9_reduced.g6")
     if not path.exists():
         from fanheavy.generate import nonisomorphic_graphs
         part = path.with_name(path.name + ".part")
-        part.write_text("".join(encode_graph6(g) + "\n" for g in nonisomorphic_graphs(9)
-                                if g.is_two_connected()))
+        part.write_text("".join(encode_graph6(g) + "\n" for g in nonisomorphic_graphs(9)))
         part.replace(path)
-    graphs = [decode_graph6(s) for s in path.read_text().splitlines() if s.strip()]
+    return path
+
+
+@pytest.fixture(scope="session")
+def two_connected_9(reduced_9) -> list[Graph]:
+    """The 2-connected classes with n = 9, filtered from `reduced_9` as
+    it is read."""
+    graphs = [g for g in map(decode_graph6, reduced_9.read_text().split())
+              if g.is_two_connected()]
     assert len(graphs) == TWO_CONNECTED_COUNTS[9]
-    assert all(g.n == 9 and g.is_two_connected() for g in graphs)
+    assert all(g.n == 9 for g in graphs)
     return graphs

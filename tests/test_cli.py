@@ -196,7 +196,7 @@ def test_verify_workers_match_serial(tmp_path, capsys):
 def test_verify_rejects_nonpositive_workers(tmp_path, capsys, monkeypatch, workers):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
-    monkeypatch.setattr("fanheavy.cli.multiprocessing.Pool", no_pool)
+    monkeypatch.setattr("multiprocessing.Pool", no_pool)
     path = write_g6(tmp_path, "corpus.g6", complete_graph(4))
     code, out, err = run(capsys, "verify", "--corpus", path, "--theorem", "thm5",
                          "--workers", workers)

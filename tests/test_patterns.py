@@ -176,6 +176,95 @@ def test_search_yields_each_copy_once():
                 assert copies == brute_force_copies(g, p), (g, p.name, by_min)
 
 
+def _backward_search(g, starts):
+    """The copy search before forward checking: each start is (links,
+    after, first, allowed), and a position's hosts are worked out from
+    its backward links and its lex-leader cut only when the search reaches
+    it.  Yields the image vectors, in plan order."""
+    for links, after, first, allowed in starts:
+        k = len(links)
+        image = [0] * k
+        stack = [first]
+        while stack:
+            pos = len(stack) - 1
+            cands = stack[pos]
+            if not cands:
+                stack.pop()
+                continue
+            low = cands & -cands
+            stack[pos] = cands ^ low
+            image[pos] = low.bit_length() - 1
+            if pos + 1 == k:
+                yield tuple(image)
+                continue
+            mask = allowed
+            for j, adjacent in links[pos + 1]:
+                host = image[j]
+                mask &= g.adj[host] if adjacent else ~(g.adj[host] | (1 << host))
+            if after[pos + 1] >= 0:
+                mask &= -(2 << image[after[pos + 1]])
+            stack.append(mask)
+
+
+def _lex_leader_cuts(links):
+    """after[q] of a plan, from its links alone: the latest position i
+    whose orbit under the automorphisms fixing the positions before i
+    holds q, or -1.  The automorphisms are the embeddings of the pattern,
+    numbered by position, in itself."""
+    k = len(links)
+    p = Graph(k, [(j, pos) for pos, row in enumerate(links) for j, adjacent in row if adjacent])
+    full = p.full_mask()
+    after = [-1] * k
+    for s in _backward_search(p, [(links, after[:], full, full)]):
+        for i in range(k):
+            if s[i] != i:
+                after[s[i]] = max(after[s[i]], i)
+                break
+    return after
+
+
+def _masks(images):
+    return [sum(1 << v for v in image) for image in images]
+
+
+def _assert_yields_unchanged(p, hosts):
+    """`_induced_copies` yields the masks of `_backward_search` in both
+    modes, with the cuts worked out from the plan links alone; returns the
+    number of copies."""
+    k = p.graph.n
+    plan = (p.plan[0], _lex_leader_cuts(p.plan[0]))
+    rooted = [(links, _lex_leader_cuts(links)) for links, _table in p.rooted]
+    copies = 0
+    for g in hosts:
+        full = g.full_mask()
+        expected = _masks(_backward_search(g, [(*plan, full, full)]))
+        assert list(_induced_copies(g, p)) == expected, (g, p.name)
+        by_min = list(_induced_copies(g, p, by_min=True))
+        starts = [(*r, 1 << a, full >> a << a) for a in range(g.n - k + 1) for r in rooted]
+        assert by_min == _masks(_backward_search(g, starts)), (g, p.name)
+        # the same copies, one root per orbit
+        assert sorted(by_min) == sorted(expected), (g, p.name)
+        copies += len(expected)
+    return copies
+
+
+def test_forward_checking_keeps_the_yield_sequence():
+    rng = random.Random(67)
+    small = [g for n in range(8) for g in _reps(n)]  # the first 209 have n <= 6
+    hosts = small[:]
+    for i in range(160):
+        n = rng.randint(8, 14)
+        p = rng.uniform(0.1, 0.35) if i % 2 else rng.uniform(0.55, 0.9)
+        hosts.append(Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+    pats = ([pattern(name) for name in CATALOG_NAMES] + [Pattern("p9", path_graph(9))]
+            + list(SYMMETRIC_PATTERNS.values()))
+    assert sum(_assert_yields_unchanged(p, hosts) for p in pats) > 10000
+    # the orbits behind the plans come from the same search, with no cuts:
+    # every 5-vertex pattern on the classes with n <= 6
+    for r in _reps(5):
+        _assert_yields_unchanged(Pattern(encode_graph6(r), r), small[:209])
+
+
 def _first_copy_unconstrained(g, links):
     """The copy search with no symmetry cuts: plan positions mapped in
     order, lowest host first; the host set of the first embedding."""
