@@ -8,7 +8,7 @@ Commands:
   gen      emit small-graph corpora as graph6 (labeled or iso-reduced)
 
 Exit codes: 0 verdict true / no counterexample; 1 verdict false /
-counterexample found; 2 usage or input error.
+counterexample found; 2 usage, input or output error.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .graph import Graph
 from .graphio import (GraphFormatError, decode_edge_list, decode_graph6,
                       encode_graph6, read_corpus)
 from .patterns import pattern, pattern_from_spec
-from .witness import WitnessSpecError, build_witness, classify_witness
+from .witness import build_witness, classify_witness
 
 CONDITIONS = ("fan", "2heavy", "f-heavy", "free", "thm4", "thm5")
 THEOREMS = ("thm1", "thm4", "thm5")
@@ -90,12 +90,7 @@ def evaluate_condition(g: Graph, name: str, patterns_spec: str) -> conditions.Co
 
 
 def cmd_check(args) -> int:
-    try:
-        g = _load_graph(args.file)
-        rep = evaluate_condition(g, args.condition, args.patterns)
-    except (GraphFormatError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    rep = evaluate_condition(_load_graph(args.file), args.condition, args.patterns)
     print(json.dumps(rep.to_dict(), sort_keys=True))
     return EXIT_TRUE if rep.verdict else EXIT_FALSE
 
@@ -174,14 +169,10 @@ def verify_corpus(lines, theorem: str, require_2connected: bool = True,
 
 
 def cmd_verify(args) -> int:
-    try:
-        with _open_corpus(args.corpus) as fh:
-            summary = verify_corpus(fh, args.theorem,
-                                    require_2connected=not args.no_2connected_gate,
-                                    workers=args.workers)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    with _open_corpus(args.corpus) as fh:
+        summary = verify_corpus(fh, args.theorem,
+                                require_2connected=not args.no_2connected_gate,
+                                workers=args.workers)
     print(json.dumps(summary.to_dict(), sort_keys=True))
     return EXIT_FALSE if summary.counterexamples else EXIT_TRUE
 
@@ -219,12 +210,8 @@ def hunt(lines, r_name: str, s_name: str) -> HuntResult:
 
 
 def cmd_hunt(args) -> int:
-    try:
-        with _open_corpus(args.corpus) as fh:
-            result = hunt(fh, args.r, args.s)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    with _open_corpus(args.corpus) as fh:
+        result = hunt(fh, args.r, args.s)
     print(json.dumps(result.to_dict(), sort_keys=True))
     return EXIT_FALSE if result.counterexample else EXIT_TRUE
 
@@ -232,17 +219,9 @@ def cmd_hunt(args) -> int:
 # -- witness --------------------------------------------------------------
 
 def cmd_witness(args) -> int:
-    try:
-        g = build_witness(args.n)
-    except WitnessSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    g = build_witness(args.n)
     if args.emit == "graph6":
-        try:
-            print(encode_graph6(g))
-        except GraphFormatError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_ERROR
+        print(encode_graph6(g))
         return EXIT_TRUE
     report = classify_witness(g)
     print(json.dumps(report.to_dict(), sort_keys=True))
@@ -260,13 +239,11 @@ GEN_MAX_N_REDUCED = 9
 
 def cmd_gen(args) -> int:
     if args.n < 1:
-        print("error: n must be >= 1", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError("n must be >= 1")
     limit = GEN_MAX_N_REDUCED if args.reduce else GEN_MAX_N_LABELED
     if args.n > limit:
         mode = "with" if args.reduce else "without"
-        print(f"error: n must be <= {limit} {mode} --reduce", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError(f"n must be <= {limit} {mode} --reduce")
     if args.reduce:
         graphs = generate.nonisomorphic_graphs(args.n)
     else:
@@ -339,6 +316,10 @@ def main(argv: list[str] | None = None) -> int:
         # the reader closed the pipe (e.g. `| head`): stop quietly, and
         # point stdout at devnull so the final flush at exit cannot raise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_ERROR
+    except (OSError, ValueError) as exc:
+        # unreadable or malformed input, or output that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     return code
 

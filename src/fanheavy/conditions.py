@@ -9,12 +9,13 @@ Witness contract: a failed R-f-heavy check reports the lexicographically
 first light copy of R, as a sorted tuple, and in it the lexicographically
 first light distance-2 pair.
 
-`is_R_f_heavy` needs no copy search on most hosts.  Two vertices at
-distance 2 inside an induced copy are non-adjacent in G and share a
-neighbour in G, so they are at distance 2 in G too.  Every light copy
-therefore holds two light vertices that form a distance-2 pair of G.  When
-G has no such pair (Fan's condition) every R is f-heavy, and otherwise
-only copies that hold two of the vertices in such pairs need a check.
+`is_R_f_heavy` runs at most one copy search, none on most hosts.  Two
+vertices at distance 2 inside an induced copy are non-adjacent in G and
+share a neighbour in G, so they are at distance 2 in G too.  Every light
+copy therefore holds two light vertices that form a distance-2 pair of G.
+When G has no such pair (Fan's condition) every R is f-heavy, and
+otherwise only copies that hold two of the vertices in such pairs need a
+check.
 """
 
 from __future__ import annotations
@@ -134,11 +135,10 @@ def is_R_f_heavy(g: Graph, p: Pattern, partners: list[int] | None = None) -> Con
     """Every induced copy of p is f-heavy in g.
 
     On failure the witness is the lexicographically first light copy.
-    The check first walks the one shared-prefix copy search and stops at
-    the first light copy; only then does it look for the first light copy
-    in order, one smallest vertex a = 0, 1, ... at a time with the search
-    anchored at a.  Anchored searches share no prefixes between anchors,
-    so they are kept off the path where the host passes.  `partners`, from
+    One search walks the copies in order of their smallest vertex, so the
+    first light copy in order is among those sharing the smallest vertex
+    of the first light copy found; the walk stops at the first copy past
+    them, or runs to the end when no copy is light.  `partners`, from
     `_light_partners(g)`, lets a caller checking several patterns compute
     it once.
     """
@@ -151,21 +151,16 @@ def is_R_f_heavy(g: Graph, p: Pattern, partners: list[int] | None = None) -> Con
     if not ends:  # Fan's condition
         return ConditionReport(name, True)
     adj = g.adj
-    # a light copy holds two vertices of light pairs
-    if not any(_light_pair(adj, partners, c) for c in _induced_copies(g, p)
-               if (c & ends).bit_count() >= 2):
-        return ConditionReport(name, True)
-    # Copies come by smallest vertex, so the first light copy in order is
-    # among those sharing the smallest vertex of the first one found.  Of
-    # two k-sets the lexicographically smaller holds the least vertex of
-    # their symmetric difference.
+    # Of two k-sets the lexicographically smaller holds the least vertex of
+    # their symmetric difference; a light copy holds two vertices of light pairs.
     best = 0
     for c in _induced_copies(g, p, by_min=True):
         if best and not c & best & -best:
             break
         diff = c ^ best
-        if c & diff & -diff and _light_pair(adj, partners, c):
+        if c & diff & -diff and (c & ends).bit_count() >= 2 and _light_pair(adj, partners, c):
             best = c
+    # with no light copy, best = 0 holds no pair and the report is true
     return _light_pair_report(name, g, partners, best, tuple(iter_bits(best)), p.name)
 
 

@@ -1,10 +1,11 @@
 """Catalog of the small pattern graphs and induced-copy search.
 
-A `Pattern` derives its copy-search plans once, when it is built, and
-keeps them.  The catalog patterns are module constants: `pattern(name)`
-returns the shared instance, so no search rebuilds a plan.  A plan
-carries lex-leader constraints from the pattern's automorphism group, so
-the search meets each copy once, not once per automorphism.
+A `Pattern` builds its copy-search plans on first use and keeps them.
+The catalog patterns are module constants: `pattern(name)` returns the
+shared instance, so no search rebuilds a plan, and importing the module
+builds none.  A plan is a `_forward` table that carries lex-leader
+constraints from the pattern's automorphism group, so the search meets
+each copy once, not once per automorphism.
 
 One forward-checking search (`_embeddings`) finds the copies, the
 automorphisms behind the plans and the maps of `is_isomorphic_small`.
@@ -21,7 +22,8 @@ Canonical pattern numbering (frozen so fixtures stay stable):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from .graph import Graph, iter_bits, path_graph
@@ -31,8 +33,8 @@ ISO_MAX_N = 10
 
 def _search_plan(p: Graph, root: int) -> tuple[tuple, int]:
     """Map `root` first, then always a vertex adjacent to a mapped one
-    when possible.  Returns ((links, forward), orbit): links[pos] lists the
-    (earlier position, adjacent) pairs of pos, forward is its `_forward` table.
+    when possible.  Returns (forward, orbit): forward is the `_forward`
+    table of that order, with the lex-leader cuts set.
 
     Let v_i be the vertex of position i and G_i the automorphisms of p
     fixing v_0 .. v_{i-1}.  An embedding is the lexicographically least
@@ -52,8 +54,6 @@ def _search_plan(p: Graph, root: int) -> tuple[tuple, int]:
         v = rest.pop(anchored.index(max(anchored)))
         order.append(v)
         placed |= 1 << v
-    links = tuple(tuple((j, (adj[v] >> order[j]) & 1) for j in range(pos))
-                  for pos, v in enumerate(order))
     uncut = _forward(p, order)
     after = [-1] * n
     orbit, fixed = 1 << root, 0
@@ -70,7 +70,7 @@ def _search_plan(p: Graph, root: int) -> tuple[tuple, int]:
         fixed |= 1 << v
     forward = tuple(tuple((q, a, after[q] == pos) for q, a, _ in row) if pos in after else row
                     for pos, row in enumerate(uncut))
-    return (links, forward), orbit
+    return forward, orbit
 
 
 def _forward(p: Graph, order: list[int]) -> tuple:
@@ -119,28 +119,30 @@ def _embeddings(adj: list[int], k: int, starts) -> Iterator[int]:
 
 @dataclass(frozen=True)
 class Pattern:
-    """A named pattern graph and the copy-search plans built with it.
+    """A named pattern graph and its copy-search plans, built on first use.
 
-    A plan is the pair (links, forward) of `_search_plan`.  `plan` maps a
-    vertex of max degree (the lowest such index) first; `rooted` holds the
-    plan of the lowest root of each Aut-orbit of vertices.
+    A plan is the `_forward` table of `_search_plan`.  `rooted` maps the
+    lowest root of each Aut-orbit of vertices to its plan; `plan` is the
+    plan of the vertex of max degree with the lowest index.
     """
     name: str
     graph: Graph
-    plan: tuple = field(init=False, repr=False, compare=False)
-    rooted: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    @cached_property
+    def rooted(self) -> dict[int, tuple]:
         g = self.graph
         by_root, covered = {}, 0
         for root in range(g.n):
             if not (covered >> root) & 1:
                 by_root[root], orbit = _search_plan(g, root)
                 covered |= orbit
+        return by_root
+
+    @cached_property
+    def plan(self) -> tuple:
         # the lowest vertex of max degree is the lowest of its orbit
-        first = max(range(g.n), key=lambda v: (g.adj[v].bit_count(), -v), default=None)
-        object.__setattr__(self, "plan", () if first is None else by_root[first])
-        object.__setattr__(self, "rooted", tuple(by_root.values()))
+        deg = [row.bit_count() for row in self.graph.adj]
+        return self.rooted[deg.index(max(deg))] if deg else ()
 
 
 _CATALOG = {p.name: p for p in (
@@ -199,11 +201,11 @@ def is_isomorphic_small(g1: Graph, g2: Graph) -> bool:
 def _induced_copies(g: Graph, p: Pattern, by_min: bool = False) -> Iterator[int]:
     """Yield the host vertex bitmask of every embedding of the pattern.
 
-    Pattern vertices are mapped in the order of `p.plan`, lowest host
-    first, so embeddings come in lexicographic order of their image
-    vectors.  A position's hosts are adjacent to the images of its pattern
-    neighbours, non-adjacent to (and distinct from) the other images and,
-    by the lex-leader cuts, above one earlier image.  Each image cuts the
+    Pattern vertices are mapped in the position order of the plan
+    `p.plan`, lowest host first, so embeddings come in lexicographic order
+    of their image vectors.  A position's hosts are adjacent to the images
+    of its pattern neighbours, non-adjacent to (and distinct from) the
+    other images and, by the lex-leader cuts, above one earlier image.  Each image cuts the
     hosts of all later positions at once, and a branch ends when one has
     none left: it holds no embedding, so the yields are those of a search
     that finds a position's hosts on reaching it.  The lex-leader cuts
@@ -212,9 +214,9 @@ def _induced_copies(g: Graph, p: Pattern, by_min: bool = False) -> Iterator[int]
 
     With `by_min`, the copies come in order of their smallest vertex: for
     a = 0, 1, ... the host is cut to the vertices >= a, and each root of
-    `p.rooted` in turn is mapped to a first.  Every copy with smallest
-    vertex a is found with a root that some embedding maps to a; those
-    roots form one Aut-orbit, of which `p.rooted` holds one.
+    `p.rooted` in turn is mapped to a first, with its plan.  Every copy
+    with smallest vertex a is found with a root that some embedding maps
+    to a; those roots form one Aut-orbit, of which `p.rooted` holds one.
     """
     k = p.graph.n
     if k == 0 or k > g.n:
@@ -222,9 +224,9 @@ def _induced_copies(g: Graph, p: Pattern, by_min: bool = False) -> Iterator[int]
     full = g.full_mask()
     if by_min:
         starts = ((forward, [1 << a] + [full >> a << a] * (k - 1))
-                  for a in range(g.n - k + 1) for _links, forward in p.rooted)
+                  for a in range(g.n - k + 1) for forward in p.rooted.values())
     else:
-        starts = ((p.plan[1], [full] * k),)
+        starts = ((p.plan, [full] * k),)
     yield from _embeddings(g.adj, k, starts)
 
 

@@ -299,21 +299,36 @@ def test_gen_size_guard_exit2(capsys, argv):
     assert err.startswith("error:")
 
 
+def _run_cli_process(stdout, *argv):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    return subprocess.run([sys.executable, "-m", "fanheavy.cli", *argv],
+                          stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60)
+
+
 def test_gen_into_closed_pipe_exits_quietly():
     # the read end is closed before the command starts, so its first write
     # fails with EPIPE, as when piping into `head -1`
     read_end, write_end = os.pipe()
     os.close(read_end)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     try:
-        proc = subprocess.run([sys.executable, "-m", "fanheavy.cli", "gen", "--n", "5"],
-                              stdout=write_end, stderr=subprocess.PIPE, env=env,
-                              timeout=60)
+        proc = _run_cli_process(write_end, "gen", "--n", "5")
     finally:
         os.close(write_end)
     assert proc.returncode == 2
     assert proc.stderr == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [("gen", "--n", "3"), ("witness", "--n", "16", "--emit", "graph6")],
+                         ids=["gen", "witness"])
+def test_write_error_exits_2_with_one_error_line(argv):
+    # every write to /dev/full fails with ENOSPC
+    with open("/dev/full", "w") as full:
+        proc = _run_cli_process(full, *argv)
+    err = proc.stderr.decode()
+    assert proc.returncode == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_unknown_condition_exit2(tmp_path, capsys):

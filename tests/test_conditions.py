@@ -9,8 +9,8 @@ from fanheavy.conditions import (ConditionReport, Violation, copy_is_f_heavy,
                                  is_family_f_heavy, is_heavy, satisfies_fan,
                                  theorem4_condition, theorem5_condition)
 from fanheavy.graph import Graph, complete_graph, cycle_graph, path_graph
-from fanheavy.patterns import (CATALOG_NAMES, Pattern, enumerate_induced_copies, has_induced_copy,
-                               pattern, pattern_from_spec, path_graph as _pg)
+from fanheavy.patterns import (CATALOG_NAMES, Pattern, _induced_copies, enumerate_induced_copies,
+                               has_induced_copy, pattern, pattern_from_spec, path_graph as _pg)
 
 from conftest import SYMMETRIC_PATTERNS, _reps, k23
 
@@ -42,7 +42,13 @@ def test_copy_is_f_heavy_examples():
     assert rep.violation.pair == (2, 3)
 
 
-def test_is_R_f_heavy_examples():
+def test_is_R_f_heavy_examples(monkeypatch):
+    searches = []
+
+    def recorded(g, p, by_min=False):
+        searches.append(by_min)
+        return _induced_copies(g, p, by_min)
+    monkeypatch.setattr("fanheavy.conditions._induced_copies", recorded)
     claw = pattern("claw")
     assert is_R_f_heavy(cycle_graph(6), claw).verdict  # claw-free: vacuous
     star = Graph(4, [(0, 1), (0, 2), (0, 3)])
@@ -50,6 +56,9 @@ def test_is_R_f_heavy_examples():
     rep = is_R_f_heavy(k23(), claw)
     assert not rep.verdict and rep.violation.pair == (2, 3)
     assert rep.violation.subset == (0, 2, 3, 4)
+    assert is_R_f_heavy(complete_graph(5), claw).verdict  # Fan's condition
+    # one search per check, by smallest vertex, and none under Fan's condition
+    assert searches == [True, True, True]
 
 
 def test_is_family_f_heavy_examples():

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 import time
 from itertools import combinations, permutations
 
@@ -7,8 +10,9 @@ import pytest
 from fanheavy.conditions import is_R_f_heavy
 from fanheavy.graph import Graph, complete_graph, cycle_graph, path_graph
 from fanheavy.graphio import encode_graph6
-from fanheavy.patterns import (CATALOG_NAMES, Pattern, _induced_copies, enumerate_induced_copies,
-                               has_induced_copy, is_isomorphic_small, pattern, pattern_from_spec)
+from fanheavy.patterns import (CATALOG_NAMES, Pattern, _induced_copies, _search_plan,
+                               enumerate_induced_copies, has_induced_copy, is_isomorphic_small,
+                               pattern, pattern_from_spec)
 
 from conftest import SYMMETRIC_PATTERNS, _reps, k23
 
@@ -55,28 +59,53 @@ def test_custom_pattern():
 
 def test_searches_use_the_plans_built_with_the_pattern(monkeypatch):
     assert all(pattern(name) is pattern(name.upper()) for name in CATALOG_NAMES)
-    pats = [pattern(name) for name in CATALOG_NAMES] + [Pattern("p8", path_graph(8))]
+    built = []
 
+    def counted(p, root):
+        built.append((id(p), root))
+        return _search_plan(p, root)
+    monkeypatch.setattr("fanheavy.patterns._search_plan", counted)
+
+    # fresh instances, whose plans no earlier test has built
+    pats = ([Pattern(name, pattern(name).graph) for name in CATALOG_NAMES]
+            + [Pattern("p8", path_graph(8))])
+    assert built == []
     # disjoint copies of them all: every vertex is light, so each
-    # is_R_f_heavy call fails and runs the anchored search too
+    # is_R_f_heavy call fails
     edges, n = [], 0
     for p in pats:
         edges += [(u + n, v + n) for u, v in p.graph.edges()]
         n += p.graph.n
     g = Graph(n, edges)
+    for _ in range(2):
+        for p in pats:
+            assert has_induced_copy(g, p) is not None
+            assert enumerate_induced_copies(g, p)
+            assert not is_R_f_heavy(g, p).verdict
+    # one plan per Aut-orbit root of each pattern, each built once
+    assert sorted(built) == sorted((id(p.graph), root) for p in pats for root in p.rooted)
 
-    def rebuilt(*args):
-        raise AssertionError("a search rebuilt a plan")
-    monkeypatch.setattr("fanheavy.patterns._search_plan", rebuilt)
-    for p in pats:
-        assert has_induced_copy(g, p) is not None
-        assert enumerate_induced_copies(g, p)
-        assert not is_R_f_heavy(g, p).verdict
+
+def test_import_builds_no_plan():
+    # a fresh interpreter, since this one has imported fanheavy already
+    code = ("import sys\n"
+            "calls = []\n"
+            "sys.setprofile(lambda frame, event, arg: event == 'call'"
+            " and frame.f_code.co_name == '_search_plan' and calls.append(arg))\n"
+            "import fanheavy\n"
+            "sys.setprofile(None)\n"
+            "print(len(calls))\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
 
 
 def test_empty_pattern_has_no_copies():
     k0 = Pattern("k0", Graph(0))
-    assert k0 == Pattern("k0", Graph(0)) and k0.plan == k0.rooted == ()
+    assert k0 == Pattern("k0", Graph(0)) and k0.plan == () and k0.rooted == {}
     for g in (Graph(0), complete_graph(3), cycle_graph(6)):
         assert enumerate_induced_copies(g, k0) == []
         assert has_induced_copy(g, k0) is None
@@ -223,6 +252,16 @@ def _lex_leader_cuts(links):
     return after
 
 
+def _links(forward):
+    """The backward links of a plan, read off its forward table: links[q]
+    holds (pos, adjacent) exactly when forward[pos] holds (q, adjacent, _)."""
+    links = [[] for _ in forward]
+    for pos, row in enumerate(forward):
+        for q, adjacent, _cut in row:
+            links[q].append((pos, adjacent))
+    return links
+
+
 def _masks(images):
     return [sum(1 << v for v in image) for image in images]
 
@@ -232,8 +271,9 @@ def _assert_yields_unchanged(p, hosts):
     modes, with the cuts worked out from the plan links alone; returns the
     number of copies."""
     k = p.graph.n
-    plan = (p.plan[0], _lex_leader_cuts(p.plan[0]))
-    rooted = [(links, _lex_leader_cuts(links)) for links, _table in p.rooted]
+    links = _links(p.plan)
+    plan = (links, _lex_leader_cuts(links))
+    rooted = [(r, _lex_leader_cuts(r)) for r in map(_links, p.rooted.values())]
     copies = 0
     for g in hosts:
         full = g.full_mask()
@@ -290,7 +330,7 @@ def test_first_copy_unchanged_by_symmetry_cuts():
     for g in _search_hosts(61):
         for p in SYMMETRIC_PATTERNS.values():
             first = has_induced_copy(g, p)
-            assert first == _first_copy_unconstrained(g, p.plan[0]), (g, p.name)
+            assert first == _first_copy_unconstrained(g, _links(p.plan)), (g, p.name)
             hits += first is not None
     assert hits > 500
 
@@ -313,6 +353,6 @@ def test_symmetric_patterns_build_fast():
     for g in (complete_graph(12), Graph(12)):
         t0 = time.perf_counter()
         p = pattern_from_spec(encode_graph6(g))
+        assert len(p.rooted) == 1  # builds the plans
         assert time.perf_counter() - t0 < 1.0
-        assert len(p.rooted) == 1
         assert enumerate_induced_copies(g, p) == [tuple(range(12))]
