@@ -15,16 +15,15 @@ share a neighbour in G, so they are at distance 2 in G too.  Every light
 copy therefore holds two light vertices that form a distance-2 pair of G.
 When G has no such pair (Fan's condition) every R is f-heavy, and
 otherwise only copies that hold two of the vertices in such pairs need a
-check.
+check.  `is_2_heavy` is the claw walk with its violation relabelled.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .graph import Graph, iter_bits
-from .patterns import (Pattern, _induced_copies, enumerate_induced_copies,
-                       has_induced_copy, pattern)
+from .patterns import Pattern, _induced_copies, has_induced_copy, pattern
 
 
 @dataclass(frozen=True)
@@ -127,6 +126,7 @@ def copy_is_f_heavy(g: Graph, subset: tuple[int, ...] | list[int],
     sub = tuple(sorted(subset))
     mask = 0
     for v in sub:
+        g._check(v)
         mask |= 1 << v
     return _light_pair_report("f-heavy-copy", g, _light_partners(g), mask, sub, pattern_name)
 
@@ -184,25 +184,15 @@ def satisfies_fan(g: Graph) -> ConditionReport:
 def is_2_heavy(g: Graph) -> ConditionReport:
     """Every induced claw has at least two heavy end vertices.
 
-    Implemented by counting heavy ends per claw copy (not via the
-    claw-f-heavy equivalence, which the test suite checks against).  Two
-    light ends of a claw share its centre and are non-adjacent, so a host
-    with no light distance-2 pair (Fan's condition) needs no count.
+    This is claw-f-heavy: the distance-2 pairs of a claw are its pairs of
+    ends, so the lexicographically first light claw is the first claw, in
+    sorted order, with two light ends, and its first light pair is that
+    claw's two smallest light ends.
     """
-    if not any(_light_partners(g)):
+    rep = is_R_f_heavy(g, pattern("claw"))
+    if rep.verdict:
         return ConditionReport("2-heavy", True)
-    claw = pattern("claw")
-    for copy in enumerate_induced_copies(g, claw):
-        center = next(v for v in copy
-                      if all((g.adj[v] >> w) & 1 for w in copy if w != v))
-        ends = [v for v in copy if v != center]
-        light = [v for v in ends if not is_heavy(g, v)]
-        if len(light) >= 2:
-            return ConditionReport("2-heavy", False, (Violation(
-                kind="light-claw-ends", threshold_n=g.n, pattern="claw",
-                subset=copy, pair=(light[0], light[1]),
-                degrees=(g.degree(light[0]), g.degree(light[1]))),))
-    return ConditionReport("2-heavy", True)
+    return ConditionReport("2-heavy", False, (replace(rep.violation, kind="light-claw-ends"),))
 
 
 def is_R_free(g: Graph, p: Pattern) -> bool:

@@ -8,7 +8,7 @@ from fanheavy.conditions import (ConditionReport, Violation, copy_is_f_heavy,
                                  is_2_heavy, is_R_f_heavy, is_R_free,
                                  is_family_f_heavy, is_heavy, satisfies_fan,
                                  theorem4_condition, theorem5_condition)
-from fanheavy.graph import Graph, complete_graph, cycle_graph, path_graph
+from fanheavy.graph import Graph, GraphError, complete_graph, cycle_graph, path_graph
 from fanheavy.patterns import (CATALOG_NAMES, Pattern, _induced_copies, enumerate_induced_copies,
                                has_induced_copy, pattern, pattern_from_spec, path_graph as _pg)
 
@@ -40,6 +40,9 @@ def test_copy_is_f_heavy_examples():
     rep = copy_is_f_heavy(k23(), (0, 2, 3, 4))
     assert not rep.verdict
     assert rep.violation.pair == (2, 3)
+    for subset in ((0, 9), (0, -1)):
+        with pytest.raises(GraphError):
+            copy_is_f_heavy(path_graph(4), subset)
 
 
 def test_is_R_f_heavy_examples(monkeypatch):
@@ -57,8 +60,10 @@ def test_is_R_f_heavy_examples(monkeypatch):
     assert not rep.verdict and rep.violation.pair == (2, 3)
     assert rep.violation.subset == (0, 2, 3, 4)
     assert is_R_f_heavy(complete_graph(5), claw).verdict  # Fan's condition
+    # 2-heavy is the same claw walk
+    assert not is_2_heavy(k23()).verdict and is_2_heavy(complete_graph(5)).verdict
     # one search per check, by smallest vertex, and none under Fan's condition
-    assert searches == [True, True, True]
+    assert searches == [True, True, True, True]
 
 
 def test_is_family_f_heavy_examples():
@@ -86,6 +91,40 @@ def test_is_2_heavy_examples():
     assert not is_2_heavy(star).verdict
     rep = is_2_heavy(k23())
     assert not rep.verdict and rep.violation.kind == "light-claw-ends"
+
+
+def _two_heavy_oracle(g):
+    """Scan the 4-subsets in lexicographic order; the first claw with two
+    light ends is the witness, with its two smallest light ends."""
+    for sub in combinations(range(g.n), 4):
+        centres = [c for c in sub if all(g.has_edge(c, v) for v in sub if v != c)]
+        if len(centres) != 1:
+            continue
+        ends = [v for v in sub if v != centres[0]]
+        if any(g.has_edge(u, v) for u, v in combinations(ends, 2)):
+            continue
+        light = [v for v in ends if 2 * g.degree(v) < g.n]
+        if len(light) >= 2:
+            u, v = light[:2]
+            return ConditionReport("2-heavy", False, (Violation(
+                kind="light-claw-ends", threshold_n=g.n, pattern="claw", subset=sub,
+                pair=(u, v), degrees=(g.degree(u), g.degree(v))),))
+    return ConditionReport("2-heavy", True)
+
+
+def test_is_2_heavy_matches_claw_scan():
+    hosts = [g for n in range(8) for g in _reps(n)]
+    rng = random.Random(59)
+    for i in range(400):
+        # sparse and dense halves
+        p = rng.uniform(0.1, 0.35) if i % 2 else rng.uniform(0.5, 0.8)
+        hosts.append(random_graph(rng, rng.randint(4, 12), p))
+    failures = 0
+    for g in hosts:
+        expected = _two_heavy_oracle(g)
+        assert is_2_heavy(g) == expected, g
+        failures += not expected.verdict
+    assert failures > 300
 
 
 def test_is_R_free_examples():

@@ -1,12 +1,15 @@
-"""The benchmark's per-layer tracer patches program functions by name.
+"""Guards for the tooling around the package.
 
-`bench/spans.py` lists them; a rename or deletion in `fanheavy` would
+The benchmark's per-layer tracer patches program functions by name:
+`bench/spans.py` lists them, and a rename or deletion in `fanheavy` would
 make `bench/run.py --trace 1` fail, so every listed name must resolve.
+The runtime imports nothing outside the standard library.
 """
 
 import importlib
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -47,3 +50,24 @@ def test_traced_benchmark_rechecks_every_result(workload):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert (result["correct"], result["failed"]) == (True, 0)
     assert result["attempted"] > 0
+
+
+def test_runtime_imports_only_the_standard_library():
+    # a fresh interpreter; compare with its own start-up modules, since
+    # .pth hooks (such as _distutils_hack) load some before any import
+    code = ("import json, sys\n"
+            "before = set(sys.modules)\n"
+            "import importlib, pkgutil, fanheavy\n"
+            "for info in pkgutil.iter_modules(fanheavy.__path__):\n"
+            "    importlib.import_module('fanheavy.' + info.name)\n"
+            "print(json.dumps(sorted({m.split('.')[0] for m in set(sys.modules) - before})))\n")
+    env = {**os.environ,
+           "PYTHONPATH": str(ROOT / "src") + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    new = set(json.loads(proc.stdout))
+    assert "fanheavy" in new
+    # verify --workers imports multiprocessing only when it starts a pool
+    assert "multiprocessing" not in new
+    assert new - {"fanheavy"} <= sys.stdlib_module_names, new - sys.stdlib_module_names
