@@ -1,17 +1,18 @@
 """Catalog of the small pattern graphs and induced-copy search.
 
-A `Pattern` builds its copy-search plans on first use and keeps them.
+A `Pattern` builds its copy-search plans and kernels on first use.
 The catalog patterns are module constants: `pattern(name)` returns the
 shared instance, so no search rebuilds a plan, and importing the module
-builds none.  A plan is a `_forward` table that carries lex-leader
+builds none.  A plan is a forward table that carries lex-leader
 constraints from the pattern's automorphism group, so the search meets
 each copy once, not once per automorphism.
 
-One forward-checking search (`_embeddings`) finds the copies, the
-automorphisms behind the plans and the maps of `is_isomorphic_small`.
-Each mapped vertex cuts the hosts of every later position at once; a
-branch that leaves one none holds no embedding, so the yields are those
-of a search that meets the dead end only on reaching that position.
+`_compile` turns a table into a kernel, Python source with one nested
+loop per position and the table's masks written in, run through `exec`;
+it finds the copies and the automorphisms behind the plans.  Each mapped
+vertex cuts the hosts of every later position at once; a branch that
+leaves one none holds no embedding, so the yields are those of a search
+that meets the dead end only on reaching that position.
 
 Canonical pattern numbering (frozen so fixtures stay stable):
   claw       center 0, ends 1..3
@@ -24,17 +25,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .graph import Graph, iter_bits, path_graph
 
 ISO_MAX_N = 10
+_NEST = 20
 
 
 def _search_plan(p: Graph, root: int) -> tuple[tuple, int]:
     """Map `root` first, then always a vertex adjacent to a mapped one
-    when possible.  Returns (forward, orbit): forward is the `_forward`
-    table of that order, with the lex-leader cuts set.
+    when possible.  Returns (forward, orbit): forward is the forward table
+    of that order.  forward[pos] lists a (later position q, adjacent in p,
+    cut) triple for each position after pos; a set `cut`, a lex-leader
+    cut, asks the image of q to lie above that of pos.
 
     Let v_i be the vertex of position i and G_i the automorphisms of p
     fixing v_0 .. v_{i-1}.  An embedding is the lexicographically least
@@ -54,7 +58,9 @@ def _search_plan(p: Graph, root: int) -> tuple[tuple, int]:
         v = rest.pop(anchored.index(max(anchored)))
         order.append(v)
         placed |= 1 << v
-    uncut = _forward(p, order)
+    uncut = tuple(tuple((q, (adj[v] >> order[q]) & 1, False) for q in range(pos + 1, n))
+                  for pos, v in enumerate(order))
+    search = _compile(uncut)
     after = [-1] * n
     orbit, fixed = 1 << root, 0
     for i, v in enumerate(order):
@@ -63,7 +69,7 @@ def _search_plan(p: Graph, root: int) -> tuple[tuple, int]:
             if deg[w] != deg[v] or (adj[v] ^ adj[w]) & fixed:
                 continue
             row = [1 << u for u in order[:i]] + [1 << w] + [p.full_mask()] * (n - i - 1)
-            if next(_embeddings(adj, n, [(uncut, row)]), 0):
+            if next(search(adj, 0, *row), 0):
                 after[q] = i
                 if i == 0:
                     orbit |= 1 << w
@@ -73,57 +79,46 @@ def _search_plan(p: Graph, root: int) -> tuple[tuple, int]:
     return forward, orbit
 
 
-def _forward(p: Graph, order: list[int]) -> tuple:
-    """forward[pos] lists a (later position q, adjacent in p, cut) triple
-    for each position after pos, in p's vertex `order`.  A set `cut` asks
-    the image of q to lie above that of pos; here none is set."""
-    return tuple(tuple((q, (p.adj[v] >> order[q]) & 1, False) for q in range(pos + 1, p.n))
-                 for pos, v in enumerate(order))
-
-
-def _embeddings(adj: list[int], k: int, starts) -> Iterator[int]:
-    """The host vertex bitmask of each k-vertex embedding in the host rows
-    `adj`, from each start (forward, row): a `_forward` table and the host
-    candidates of each position, cut as `_induced_copies` says.  rows[pos]
-    holds the candidates left for positions pos and later."""
-    rows = [[0] * k for _ in range(k)]
-    chosen = [0] * k
-    for forward, row in starts:
-        rows[0][:] = row
-        pos = 0
-        while pos >= 0:
-            cur = rows[pos]
-            cands = cur[pos]
-            if not cands:
-                pos -= 1
-                continue
-            low = cands & -cands
-            cur[pos] = cands ^ low
-            if pos + 1 == k:
-                yield chosen[pos] | low
-                continue
-            a = adj[low.bit_length() - 1]
-            na = ~(a | low)
-            nxt = rows[pos + 1]
-            for q, adjacent, cut in forward[pos]:
-                m = cur[q] & (a if adjacent else na)
-                if cut:
-                    m &= -(low << 1)
-                if not m:
-                    break
-                nxt[q] = m
-            else:
-                pos += 1
-                chosen[pos] = chosen[pos - 1] | low
+def _compile(forward: tuple) -> Callable[..., Iterator[int]]:
+    """The kernel of a forward table: kernel(adj, 0, *row) yields the
+    host vertex bitmask of each embedding in the host rows `adj`, given
+    the host candidates `row` of each position.  Loop level i maps
+    position i to its host bi; mi holds the hosts of the positions before
+    it, ri_q those left for position q >= i.  Only the table's integers
+    and booleans reach the source.  CPython nests at most 20 loops in a
+    function, so each _NEST positions run in a function of their own.
+    """
+    k = len(forward)
+    src = []
+    for s in range(0, k, _NEST):
+        src.append(f"def f{s}(adj, m{s}, {', '.join(f'r{s}_{q}' for q in range(s, k))}):")
+        for i in range(s, min(s + _NEST, k)):
+            t, r = " " * (i - s + 1), f"r{i}_{i}"
+            src += [f"{t}while {r}:", f"{t} b{i} = {r} & -{r}", f"{t} {r} ^= b{i}"]
+            if i + 1 == k:
+                src.append(f"{t} yield m{i} | b{i}")
+                break
+            src += [f"{t} a = adj[b{i}.bit_length() - 1]", f"{t} na = ~(a | b{i})"]
+            for q, adjacent, cut in forward[i]:
+                mask = ("a" if adjacent else "na") + (f" & -(b{i} << 1)" if cut else "")
+                src.append(f"{t} if not (r{i + 1}_{q} := r{i}_{q} & {mask}): continue")
+            src.append(f"{t} m{i + 1} = m{i} | b{i}")
+        else:
+            rows = ", ".join(f"r{i + 1}_{q}" for q in range(i + 1, k))
+            src.append(f"{t} yield from f{i + 1}(adj, m{i + 1}, {rows})")
+    namespace = {}
+    exec("\n".join(src), namespace)
+    return namespace["f0"]
 
 
 @dataclass(frozen=True)
 class Pattern:
     """A named pattern graph and its copy-search plans, built on first use.
 
-    A plan is the `_forward` table of `_search_plan`.  `rooted` maps the
-    lowest root of each Aut-orbit of vertices to its plan; `plan` is the
-    plan of the vertex of max degree with the lowest index.
+    A plan is the forward table of `_search_plan`.  `rooted` maps the
+    lowest root of each Aut-orbit of vertices to its plan, and `kernels`
+    to the plan's kernel.  The default search order is the plan of `top`,
+    the vertex of max degree with the lowest index.
     """
     name: str
     graph: Graph
@@ -139,10 +134,14 @@ class Pattern:
         return by_root
 
     @cached_property
-    def plan(self) -> tuple:
+    def kernels(self) -> dict[int, Callable[..., Iterator[int]]]:
+        return {root: _compile(forward) for root, forward in self.rooted.items()}
+
+    @cached_property
+    def top(self) -> int:
         # the lowest vertex of max degree is the lowest of its orbit
         deg = [row.bit_count() for row in self.graph.adj]
-        return self.rooted[deg.index(max(deg))] if deg else ()
+        return deg.index(max(deg))
 
 
 _CATALOG = {p.name: p for p in (
@@ -185,32 +184,31 @@ def pattern_from_spec(token: str) -> Pattern:
 
 
 def is_isomorphic_small(g1: Graph, g2: Graph) -> bool:
-    """Backtracking isomorphism test with degree pruning, for n <= 10."""
+    """Isomorphism test by degree sequence, then canonical form, for n <= 10."""
     if g1.n > ISO_MAX_N or g2.n > ISO_MAX_N:
         raise ValueError(f"isomorphism test limited to n <= {ISO_MAX_N}")
-    deg1 = [g1.degree(v) for v in range(g1.n)]
-    deg2 = [g2.degree(v) for v in range(g2.n)]
-    if sorted(deg1) != sorted(deg2):
+    if sorted(map(int.bit_count, g1.adj)) != sorted(map(int.bit_count, g2.adj)):
         return False
-    # map vertices of g1 in decreasing-degree order; ties by index
-    order = sorted(range(g1.n), key=lambda v: (-deg1[v], v))
-    cands = [sum(1 << w for w in range(g2.n) if deg2[w] == deg1[v]) for v in order]
-    return g1.n == 0 or next(_embeddings(g2.adj, g1.n, [(_forward(g1, order), cands)]), 0) > 0
+    from .generate import canonical_form
+    return canonical_form(g1) == canonical_form(g2)
 
 
 def _induced_copies(g: Graph, p: Pattern, by_min: bool = False) -> Iterator[int]:
     """Yield the host vertex bitmask of every embedding of the pattern.
 
-    Pattern vertices are mapped in the position order of the plan
-    `p.plan`, lowest host first, so embeddings come in lexicographic order
+    Pattern vertices are mapped in the position order of the plan of
+    `p.top`, lowest host first, so embeddings come in lexicographic order
     of their image vectors.  A position's hosts are adjacent to the images
     of its pattern neighbours, non-adjacent to (and distinct from) the
-    other images and, by the lex-leader cuts, above one earlier image.  Each image cuts the
-    hosts of all later positions at once, and a branch ends when one has
-    none left: it holds no embedding, so the yields are those of a search
-    that finds a position's hosts on reaching it.  The lex-leader cuts
-    keep the least embedding of each Aut-orbit, so each copy comes once,
-    and the first copy is the same as without them.
+    other images and, by the lex-leader cuts, above one earlier image.
+    Each image cuts the hosts of all later positions at once, and a branch
+    ends when one has none left: it holds no embedding, so the yields are
+    those of a search that finds a position's hosts on reaching it.  The
+    lex-leader cuts keep the least embedding of each Aut-orbit, so each
+    copy comes once, and the first copy is the same as without them.  A
+    plan runs as its kernel from `p.kernels`, whose nested loops take the
+    same steps in the same order as a loop reading the table would, so
+    the kernel changes how fast the copies come, not which or in what order.
 
     With `by_min`, the copies come in order of their smallest vertex: for
     a = 0, 1, ... the host is cut to the vertices >= a, and each root of
@@ -221,13 +219,15 @@ def _induced_copies(g: Graph, p: Pattern, by_min: bool = False) -> Iterator[int]
     k = p.graph.n
     if k == 0 or k > g.n:
         return
-    full = g.full_mask()
-    if by_min:
-        starts = ((forward, [1 << a] + [full >> a << a] * (k - 1))
-                  for a in range(g.n - k + 1) for forward in p.rooted.values())
-    else:
-        starts = ((p.plan, [full] * k),)
-    yield from _embeddings(g.adj, k, starts)
+    adj, full = g.adj, g.full_mask()
+    if not by_min:
+        yield from p.kernels[p.top](adj, 0, *[full] * k)
+        return
+    kernels = p.kernels.values()
+    for a in range(g.n - k + 1):
+        rest = [full >> a << a] * (k - 1)
+        for kernel in kernels:
+            yield from kernel(adj, 0, 1 << a, *rest)
 
 
 def enumerate_induced_copies(g: Graph, p: Pattern) -> list[tuple[int, ...]]:

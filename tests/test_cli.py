@@ -122,6 +122,18 @@ def test_check_free_and_table_format(tmp_path, capsys):
     assert code == 2 and out == "" and "unrecognized arguments" in err
 
 
+def test_check_custom_pattern_reports_first_light_copy(tmp_path, capsys):
+    # K2 + P3 (`DCW`) has three vertex orbits, so the walk by smallest
+    # vertex runs three kernels per start; its first light copy misses 0
+    path = tmp_path / "host.g6"
+    path.write_text("I[iN?OOgw\n")
+    code, out, _ = run(capsys, "check", path, "--condition", "f-heavy", "--patterns", "DCW")
+    assert code == 1
+    assert json.loads(out) == {"condition": "{g6:DCW}-f-heavy", "verdict": False, "violations": [
+        {"kind": "light-pair", "n": 10, "pattern": "g6:DCW", "subset": [1, 2, 3, 4, 8],
+         "pair": [1, 4], "degrees": [2, 4]}]}
+
+
 @pytest.mark.parametrize("argv", [("check", "-", "--condition", "fan", "--fmt", "graph6"),
                                   ("hunt", "--r", "p7", "--s", "deer", "--corpus", "-",
                                    "--max-n", "9")],

@@ -8,22 +8,24 @@ from itertools import combinations, permutations
 import pytest
 
 from fanheavy.conditions import is_R_f_heavy
-from fanheavy.graph import Graph, complete_graph, cycle_graph, path_graph
+from fanheavy.graph import Graph, complete_graph, cycle_graph, iter_bits, path_graph
 from fanheavy.graphio import encode_graph6
-from fanheavy.patterns import (CATALOG_NAMES, Pattern, _induced_copies, _search_plan,
+from fanheavy.patterns import (CATALOG_NAMES, ISO_MAX_N, Pattern, _induced_copies, _search_plan,
                                enumerate_induced_copies, has_induced_copy, is_isomorphic_small,
                                pattern, pattern_from_spec)
 
-from conftest import SYMMETRIC_PATTERNS, _reps, k23
+from conftest import SYMMETRIC_PATTERNS, _reps, k23, nx_isomorphic
 
 
 def brute_force_copies(g, p):
-    """Oracle: scan every |V(p)|-subset and test induced isomorphism."""
+    """Oracle: scan every |V(p)|-subset and test induced isomorphism, by
+    `is_isomorphic_small`, or by networkx above its n <= 10."""
     k = p.graph.n
+    iso = is_isomorphic_small if k <= ISO_MAX_N else nx_isomorphic
     out = []
     for subset in combinations(range(g.n), k):
         sub, _ = g.induced(subset)
-        if is_isomorphic_small(sub, p.graph):
+        if iso(sub, p.graph):
             out.append(subset)
     return out
 
@@ -91,21 +93,24 @@ def test_import_builds_no_plan():
     code = ("import sys\n"
             "calls = []\n"
             "sys.setprofile(lambda frame, event, arg: event == 'call'"
-            " and frame.f_code.co_name == '_search_plan' and calls.append(arg))\n"
+            " and frame.f_globals.get('__name__') == 'fanheavy.patterns'"
+            " and frame.f_code.co_name in ('_search_plan', '_compile')"
+            " and calls.append(frame.f_code.co_name))\n"
             "import fanheavy\n"
             "sys.setprofile(None)\n"
-            "print(len(calls))\n")
+            "print(calls)\n")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0\n"
+    # no plan is built and no kernel compiled
+    assert proc.stdout == "[]\n"
 
 
 def test_empty_pattern_has_no_copies():
     k0 = Pattern("k0", Graph(0))
-    assert k0 == Pattern("k0", Graph(0)) and k0.plan == () and k0.rooted == {}
+    assert k0 == Pattern("k0", Graph(0)) and k0.rooted == k0.kernels == {}
     for g in (Graph(0), complete_graph(3), cycle_graph(6)):
         assert enumerate_induced_copies(g, k0) == []
         assert has_induced_copy(g, k0) is None
@@ -195,7 +200,8 @@ def _search_hosts(seed):
 
 
 def test_search_yields_each_copy_once():
-    pats = [pattern(name) for name in CATALOG_NAMES] + list(SYMMETRIC_PATTERNS.values())
+    pats = ([pattern(name) for name in CATALOG_NAMES] + list(SYMMETRIC_PATTERNS.values())
+            + [Pattern("k1", Graph(1)), Pattern("k2", complete_graph(2)), Pattern("2k1", Graph(2))])
     for g in _search_hosts(59):
         for p in pats:
             for by_min in (False, True):
@@ -271,7 +277,7 @@ def _assert_yields_unchanged(p, hosts):
     modes, with the cuts worked out from the plan links alone; returns the
     number of copies."""
     k = p.graph.n
-    links = _links(p.plan)
+    links = _links(p.rooted[p.top])
     plan = (links, _lex_leader_cuts(links))
     rooted = [(r, _lex_leader_cuts(r)) for r in map(_links, p.rooted.values())]
     copies = 0
@@ -330,7 +336,7 @@ def test_first_copy_unchanged_by_symmetry_cuts():
     for g in _search_hosts(61):
         for p in SYMMETRIC_PATTERNS.values():
             first = has_induced_copy(g, p)
-            assert first == _first_copy_unconstrained(g, _links(p.plan)), (g, p.name)
+            assert first == _first_copy_unconstrained(g, _links(p.rooted[p.top])), (g, p.name)
             hits += first is not None
     assert hits > 500
 
@@ -349,10 +355,28 @@ def test_rooted_plans_one_per_orbit():
         assert len(p.rooted) == _orbit_count(p), p.name
 
 
+def test_long_paths_run_across_kernel_functions():
+    # a kernel nests at most 20 positions in one function; P21 hands its
+    # last position to a second function and P25 its last five
+    for k in (21, 25):
+        p = Pattern(f"p{k}", path_graph(k))
+        chord = Graph(k + 1, list(cycle_graph(k + 1).edges()) + [(0, k // 2)])
+        for h in (cycle_graph(k + 1), path_graph(k + 2), chord):
+            expected = brute_force_copies(h, p)
+            assert expected and enumerate_induced_copies(h, p) == expected
+            assert sorted(tuple(iter_bits(m)) for m in _induced_copies(h, p, True)) == expected
+
+
 def test_symmetric_patterns_build_fast():
     for g in (complete_graph(12), Graph(12)):
         t0 = time.perf_counter()
         p = pattern_from_spec(encode_graph6(g))
-        assert len(p.rooted) == 1  # builds the plans
+        assert len(p.kernels) == 1  # builds the plans and compiles their kernels
         assert time.perf_counter() - t0 < 1.0
         assert enumerate_induced_copies(g, p) == [tuple(range(12))]
+        # hosts on 13 and 14 vertices with a few pairs flipped from g's
+        for n, flips in ((13, {(0, 1)}), (14, {(0, 1), (0, 2), (5, 9)})):
+            h = Graph(n, [e for e in combinations(range(n), 2) if (e in flips) != (g.num_edges() > 0)])
+            expected = brute_force_copies(h, p)
+            assert expected and enumerate_induced_copies(h, p) == expected
+            assert sorted(tuple(iter_bits(m)) for m in _induced_copies(h, p, True)) == expected
