@@ -5,8 +5,7 @@ condition predicates, exact cycle solvers, and an exhaustive-check CLI.
 
 from .conditions import (ConditionReport, Violation, copy_is_f_heavy,
                          is_2_heavy, is_R_f_heavy, is_R_free, is_family_f_heavy,
-                         is_heavy, satisfies_fan, theorem4_condition,
-                         theorem5_condition)
+                         satisfies_fan, theorem4_condition, theorem5_condition)
 from .cycles import (LemmaViolationError, OCycle, expand_o_cycle,
                      find_cycle_through, find_hamilton_cycle, heavy_vertices,
                      make_o_cycle)
@@ -19,8 +18,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConditionReport", "Violation", "copy_is_f_heavy", "is_2_heavy",
-    "is_R_f_heavy", "is_R_free", "is_family_f_heavy", "is_heavy",
-    "satisfies_fan", "theorem4_condition", "theorem5_condition",
+    "is_R_f_heavy", "is_R_free", "is_family_f_heavy", "satisfies_fan",
+    "theorem4_condition", "theorem5_condition",
     "LemmaViolationError", "OCycle", "expand_o_cycle", "find_cycle_through",
     "find_hamilton_cycle", "heavy_vertices", "make_o_cycle",
     "Graph", "GraphError",

@@ -19,7 +19,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import conditions, generate
 from .cycles import find_hamilton_cycle
@@ -69,9 +69,18 @@ def _patterns_arg(spec: str):
     return out
 
 
-def evaluate_condition(g: Graph, name: str, patterns_spec: str) -> conditions.ConditionReport:
-    if name == "fan":
+def theorem_hypothesis(g: Graph, theorem: str) -> conditions.ConditionReport:
+    # called through the module, so a wrapper installed on a predicate sees the call
+    if theorem == "thm1":
         return conditions.satisfies_fan(g)
+    if theorem == "thm4":
+        return conditions.theorem4_condition(g)
+    if theorem == "thm5":
+        return conditions.theorem5_condition(g)
+    raise ValueError(f"unknown theorem {theorem!r}")
+
+
+def evaluate_condition(g: Graph, name: str, patterns_spec: str) -> conditions.ConditionReport:
     if name == "2heavy":
         return conditions.is_2_heavy(g)
     if name == "f-heavy":
@@ -82,11 +91,9 @@ def evaluate_condition(g: Graph, name: str, patterns_spec: str) -> conditions.Co
             if violation is not None:
                 return conditions.ConditionReport(f"{p.name}-free", False, (violation,))
         return conditions.ConditionReport("free", True)
-    if name == "thm4":
-        return conditions.theorem4_condition(g)
-    if name == "thm5":
-        return conditions.theorem5_condition(g)
-    raise ValueError(f"unknown condition {name!r}")
+    if name not in ("fan", "thm4", "thm5"):
+        raise ValueError(f"unknown condition {name!r}")
+    return theorem_hypothesis(g, "thm1" if name == "fan" else name)
 
 
 def cmd_check(args) -> int:
@@ -97,14 +104,14 @@ def cmd_check(args) -> int:
 
 # -- verify ---------------------------------------------------------------
 
-def theorem_hypothesis(g: Graph, theorem: str) -> conditions.ConditionReport:
-    if theorem == "thm1":
-        return conditions.satisfies_fan(g)
-    if theorem == "thm4":
-        return conditions.theorem4_condition(g)
-    if theorem == "thm5":
-        return conditions.theorem5_condition(g)
-    raise ValueError(f"unknown theorem {theorem!r}")
+def _result_dict(result) -> dict:
+    """The fields of a result, by name, with parse errors as objects and
+    `seconds`, if any, rounded to the millisecond."""
+    d = asdict(result)
+    d["parse_errors"] = [{"line": ln, "error": msg} for ln, msg in result.parse_errors]
+    if "seconds" in d:
+        d["seconds"] = round(result.seconds, 3)
+    return d
 
 
 @dataclass
@@ -117,16 +124,7 @@ class VerificationSummary:
     parse_errors: list[tuple[int, str]] = field(default_factory=list)
     seconds: float = 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "corpus_size": self.corpus_size,
-            "gate_passed": self.gate_passed,
-            "hypothesis_passed": self.hypothesis_passed,
-            "hamiltonian": self.hamiltonian,
-            "counterexamples": self.counterexamples,
-            "parse_errors": [{"line": ln, "error": msg} for ln, msg in self.parse_errors],
-            "seconds": round(self.seconds, 3),
-        }
+    to_dict = _result_dict
 
 
 def _verify_one(task: tuple[Graph, str, bool]) -> tuple[bool, bool, bool]:
@@ -143,6 +141,8 @@ def _verify_one(task: tuple[Graph, str, bool]) -> tuple[bool, bool, bool]:
 
 def verify_corpus(lines, theorem: str, require_2connected: bool = True,
                   workers: int = 1) -> VerificationSummary:
+    if theorem not in THEOREMS:
+        raise ValueError(f"unknown theorem {theorem!r}")
     summary = VerificationSummary()
     t0 = time.monotonic()
     graphs = [g for _index, g in read_corpus(lines, errors=summary.parse_errors)]
@@ -186,13 +186,7 @@ class HuntResult:
     scanned: int
     parse_errors: list[tuple[int, str]]
 
-    def to_dict(self) -> dict:
-        return {
-            "triple": list(self.triple),
-            "counterexample": self.counterexample,
-            "scanned": self.scanned,
-            "parse_errors": [{"line": ln, "error": msg} for ln, msg in self.parse_errors],
-        }
+    to_dict = _result_dict
 
 
 def hunt(lines, r_name: str, s_name: str) -> HuntResult:

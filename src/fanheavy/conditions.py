@@ -20,7 +20,7 @@ check.  `is_2_heavy` is the claw walk with its violation relabelled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .graph import Graph, iter_bits
 from .patterns import Pattern, _induced_copies, has_induced_copy, pattern
@@ -36,15 +36,10 @@ class Violation:
     degrees: tuple[int, int] | None = None
 
     def to_dict(self) -> dict:
-        d = {"kind": self.kind, "n": self.threshold_n}
-        if self.pattern is not None:
-            d["pattern"] = self.pattern
-        if self.subset is not None:
-            d["subset"] = list(self.subset)
-        if self.pair is not None:
-            d["pair"] = list(self.pair)
-        if self.degrees is not None:
-            d["degrees"] = list(self.degrees)
+        """The fields that are set, tuples as lists, `threshold_n` as `n`."""
+        d = {k: list(v) if isinstance(v, tuple) else v
+             for k, v in asdict(self).items() if v is not None}
+        d["n"] = d.pop("threshold_n")
         return d
 
 
@@ -67,10 +62,6 @@ class ConditionReport:
             "verdict": self.verdict,
             "violations": [v.to_dict() for v in self.violations],
         }
-
-
-def is_heavy(g: Graph, v: int) -> bool:
-    return 2 * g.degree(v) >= g.n
 
 
 def _light_partners(g: Graph) -> list[int]:

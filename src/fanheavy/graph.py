@@ -72,10 +72,6 @@ class Graph:
         self._check(v)
         return self.adj[v].bit_count()
 
-    def neighbors(self, v: int) -> Iterator[int]:
-        self._check(v)
-        return iter_bits(self.adj[v])
-
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
             higher = self.adj[u] >> (u + 1)

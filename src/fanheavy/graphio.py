@@ -77,7 +77,7 @@ def decode_graph6(line: str) -> Graph:
 
 
 # -- edge-list text format ----------------------------------------------
-# First line "n m", then m lines "u v".
+# First line "n m", then m lines "u v"; n <= GRAPH6_MAX_N, as for graph6.
 
 def decode_edge_list(text: str) -> Graph:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
@@ -90,6 +90,9 @@ def decode_edge_list(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise GraphFormatError("line 1: expected integer header 'n m'")
+    if n > GRAPH6_MAX_N:
+        # the graph6 limit, checked before any row is allocated
+        raise GraphFormatError(f"line 1: n={n} exceeds the supported n <= {GRAPH6_MAX_N}")
     if len(lines) - 1 != m:
         raise GraphFormatError(f"expected {m} edge lines, got {len(lines) - 1}")
     edges = {}

@@ -12,7 +12,7 @@ Frozen vertex order: A first (0..n/2-1), then B, then x,y,z,u,v,w,t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .conditions import (ConditionReport, satisfies_fan, theorem4_condition,
                          theorem5_condition)
@@ -75,16 +75,8 @@ class WitnessReport:
     claw_free: FlagResult
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "flags": {
-                "hamiltonian": self.hamiltonian.to_dict(),
-                "fan_condition": self.fan_condition.to_dict(),
-                "thm4_condition": self.thm4_condition.to_dict(),
-                "thm5_condition": self.thm5_condition.to_dict(),
-                "claw_free": self.claw_free.to_dict(),
-            },
-        }
+        flags = {f.name: getattr(self, f.name).to_dict() for f in fields(self) if f.name != "n"}
+        return {"n": self.n, "flags": flags}
 
 
 def _condition_flag(claimed: bool | None, rep: ConditionReport) -> FlagResult:

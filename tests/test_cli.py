@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,11 +9,12 @@ from pathlib import Path
 import networkx as nx
 import pytest
 
-from fanheavy.cli import main
+from fanheavy.cli import CONDITIONS, THEOREMS, evaluate_condition, hunt, main, verify_corpus
+from fanheavy.generate import random_graph
 from fanheavy.graph import complete_graph, cycle_graph
 from fanheavy.graphio import decode_graph6, encode_graph6
 
-from conftest import petersen
+from conftest import _reps, petersen
 
 
 def run(capsys, *argv):
@@ -109,6 +112,27 @@ def test_check_edge_list_input(tmp_path, capsys):
     path.write_text("3 2\n0 1\n1 0\n")
     code, out, err = run(capsys, "check", str(path), "--condition", "fan")
     assert code == 2 and out == "" and err == "error: line 3: repeated edge (1,0)\n"
+
+
+@pytest.mark.parametrize("n", [63, 10**15])
+def test_check_edge_list_beyond_graph6_limit_exit2(tmp_path, capsys, n):
+    # rejected from the header, before n rows are allocated
+    path = tmp_path / "big.txt"
+    path.write_text(f"{n} 0\n")
+    code, out, err = run(capsys, "check", str(path), "--condition", "fan")
+    assert code == 2 and out == ""
+    assert err == f"error: line 1: n={n} exceeds the supported n <= 62\n"
+
+
+def test_check_edge_list_at_graph6_limit(tmp_path, capsys):
+    path = tmp_path / "path62.txt"
+    path.write_text("62 61\n" + "".join(f"{v} {v + 1}\n" for v in range(61)))
+    code, out, err = run(capsys, "check", str(path), "--condition", "fan")
+    assert code == 1 and err == ""
+    assert json.loads(out)["violations"][0]["n"] == 62
+    path.write_text("-1 0\n")
+    code, out, err = run(capsys, "check", str(path), "--condition", "fan")
+    assert code == 2 and err == "error: vertex count must be >= 0, got -1\n"
 
 
 def test_check_free_and_table_format(tmp_path, capsys):
@@ -214,6 +238,15 @@ def test_verify_rejects_nonpositive_workers(tmp_path, capsys, monkeypatch, worke
                          "--workers", workers)
     assert code == 2 and out == ""
     assert err.startswith("usage:") and f"--workers: expected an integer >= 1, got '{workers}'" in err
+
+
+def test_verify_rejects_unknown_theorem_before_reading():
+    def lines():
+        raise AssertionError("the corpus was read")
+        yield
+    for corpus in (["A_", "B?"], ["C~"], lines()):
+        with pytest.raises(ValueError, match="unknown theorem 'thm9'"):
+            verify_corpus(corpus, "thm9")
 
 
 def test_hunt_empty_corpus(tmp_path, capsys):
@@ -364,3 +397,27 @@ def test_hunt_rejects_empty_pattern(tmp_path, capsys):
     code, out, err = run(capsys, "hunt", "--r", "?", "--s", "deer", "--corpus", path)
     assert code == 2 and out == ""
     assert err == "error: pattern '?' has no vertices\n"
+
+
+def test_json_documents_are_pinned():
+    # pins the JSON that `check`, `verify` (less its timing) and `hunt`
+    # print: every condition, with the default patterns and a custom
+    # graph6 one (C5), on every class with n <= 7 and seeded random hosts
+    rng = random.Random(15)
+    hosts = [g for n in range(1, 8) for g in _reps(n)]
+    hosts += [random_graph(rng, rng.randint(4, 12), rng.random()) for _ in range(200)]
+    digest = hashlib.sha256()
+    for g in hosts:
+        for name in CONDITIONS:
+            for spec in ("claw,p7,deer", "Dhc") if name in ("f-heavy", "free") else ("",):
+                doc = evaluate_condition(g, name, spec).to_dict()
+                digest.update(json.dumps(doc, sort_keys=True).encode())
+    corpus = [encode_graph6(g) for g in hosts[::97]] + ["!!bad!!", "A_", "HHMNK_K", "C~~"]
+    for theorem in THEOREMS:
+        for gate in (True, False):
+            doc = verify_corpus(corpus, theorem, require_2connected=gate).to_dict()
+            assert doc.pop("seconds") >= 0
+            digest.update(json.dumps(doc, sort_keys=True).encode())
+    for r, s in (("p7", "deer"), ("claw", "claw"), ("Dhc", "hourglass")):
+        digest.update(json.dumps(hunt(corpus, r, s).to_dict(), sort_keys=True).encode())
+    assert digest.hexdigest() == "66302f5a4ae93966dc2ba1ca07c2ccf2c3f894f2d847dd02fc2e2ccc455e94db"

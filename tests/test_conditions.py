@@ -6,7 +6,7 @@ import pytest
 
 from fanheavy.conditions import (ConditionReport, Violation, copy_is_f_heavy,
                                  is_2_heavy, is_R_f_heavy, is_R_free,
-                                 is_family_f_heavy, is_heavy, satisfies_fan,
+                                 is_family_f_heavy, satisfies_fan,
                                  theorem4_condition, theorem5_condition)
 from fanheavy.graph import Graph, GraphError, complete_graph, cycle_graph, path_graph
 from fanheavy.patterns import (CATALOG_NAMES, Pattern, _induced_copies, enumerate_induced_copies,
@@ -20,13 +20,6 @@ def random_graph(rng, n, p=None):
         p = rng.random()
     return Graph(n, [(u, v) for u, v in combinations(range(n), 2)
                      if rng.random() < p])
-
-
-def test_is_heavy_examples():
-    assert all(is_heavy(complete_graph(4), v) for v in range(4))
-    assert not any(is_heavy(cycle_graph(5), v) for v in range(5))
-    star = Graph(4, [(0, 1), (0, 2), (0, 3)])
-    assert is_heavy(star, 0) and not is_heavy(star, 1)
 
 
 def test_copy_is_f_heavy_examples():

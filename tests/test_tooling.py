@@ -3,18 +3,23 @@
 The benchmark's per-layer tracer patches program functions by name:
 `bench/spans.py` lists them, and a rename or deletion in `fanheavy` would
 make `bench/run.py --trace 1` fail, so every listed name must resolve.
-The runtime imports nothing outside the standard library.
+The runtime imports nothing outside the standard library, and the README's
+CLI synopsis names the options and choices the parser accepts.
 """
 
+import argparse
 import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from fanheavy.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "bench" / "spans.py"
@@ -71,3 +76,29 @@ def test_runtime_imports_only_the_standard_library():
     # verify --workers imports multiprocessing only when it starts a pool
     assert "multiprocessing" not in new
     assert new - {"fanheavy"} <= sys.stdlib_module_names, new - sys.stdlib_module_names
+
+
+def _readme_synopsis() -> dict[str, str]:
+    """Command -> its synopsis text, from the first code block under `## CLI`."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    out = {}
+    for line in block.replace("\\\n", " ").splitlines():
+        words = line.split("#", 1)[0].split()
+        assert words[0] == "fanheavy", line
+        out[words[1]] = " ".join(words[2:])
+    return out
+
+
+def test_readme_synopsis_matches_parser():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    synopsis = _readme_synopsis()
+    assert synopsis.keys() == subparsers.keys()
+    for command, sub in subparsers.items():
+        actions = [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+        options = {s for a in actions for s in a.option_strings}
+        choices = {a.option_strings[0]: "|".join(a.choices) for a in actions if a.choices}
+        line = synopsis[command]
+        assert set(re.findall(r"--[\w-]+", line)) == options, command
+        assert dict(re.findall(r"(--[\w-]+) ([\w-]+(?:\|[\w-]+)+)", line)) == choices, command
