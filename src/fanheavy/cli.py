@@ -145,7 +145,7 @@ def verify_corpus(lines, theorem: str, require_2connected: bool = True,
         raise ValueError(f"unknown theorem {theorem!r}")
     summary = VerificationSummary()
     t0 = time.monotonic()
-    graphs = [g for _index, g in read_corpus(lines, errors=summary.parse_errors)]
+    graphs = list(read_corpus(lines, summary.parse_errors))
     summary.corpus_size = len(graphs)
     tasks = [(g, theorem, require_2connected) for g in graphs]
     if workers > 1:
@@ -194,7 +194,7 @@ def hunt(lines, r_name: str, s_name: str) -> HuntResult:
     triple = ("claw", family[1].name, family[2].name)
     errors: list[tuple[int, str]] = []
     scanned = 0
-    for _idx, g in read_corpus(lines, errors=errors):
+    for g in read_corpus(lines, errors):
         scanned += 1
         # the Hamilton check first: few graphs reach the pattern searches
         if (g.is_two_connected() and find_hamilton_cycle(g) is None

@@ -49,9 +49,6 @@ class ConditionReport:
     verdict: bool
     violations: tuple[Violation, ...] = ()
 
-    def __bool__(self) -> bool:
-        return self.verdict
-
     @property
     def violation(self) -> Violation | None:
         return self.violations[0] if self.violations else None

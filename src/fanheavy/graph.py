@@ -72,40 +72,13 @@ class Graph:
         self._check(v)
         return self.adj[v].bit_count()
 
-    def edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.n):
-            higher = self.adj[u] >> (u + 1)
-            for v in iter_bits(higher):
-                yield (u, u + 1 + v)
-
     def num_edges(self) -> int:
         return sum(r.bit_count() for r in self.adj) // 2
 
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    # -- distances -------------------------------------------------------
-
-    def distance(self, u: int, v: int) -> int | None:
-        """BFS hop count; None when v is unreachable from u."""
-        self._check(u)
-        self._check(v)
-        if u == v:
-            return 0
-        seen = 1 << u
-        frontier = seen
-        d = 0
-        while frontier:
-            d += 1
-            nxt = 0
-            for w in iter_bits(frontier):
-                nxt |= self.adj[w]
-            nxt &= ~seen
-            if (nxt >> v) & 1:
-                return d
-            seen |= nxt
-            frontier = nxt
-        return None
+    # -- connectivity ----------------------------------------------------
 
     def reachable_from(self, start_mask: int, allowed_mask: int) -> int:
         """Mask of vertices reachable from start_mask moving inside allowed_mask."""
@@ -125,27 +98,6 @@ class Graph:
             return False
         full = self.full_mask()
         return self.reachable_from(1, full) == full
-
-    # -- induced subgraphs -----------------------------------------------
-
-    def induced(self, subset: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
-        """Induced subgraph on `subset` plus the new-index -> old-vertex map.
-
-        The map preserves the sorted order of the subset.
-        """
-        verts = sorted(set(subset))
-        for v in verts:
-            self._check(v)
-        pos = {v: i for i, v in enumerate(verts)}
-        rows = [0] * len(verts)
-        for i, v in enumerate(verts):
-            for w in verts[i + 1:]:
-                if (self.adj[v] >> w) & 1:
-                    rows[i] |= 1 << pos[w]
-                    rows[pos[w]] |= 1 << i
-        return Graph.from_rows(tuple(rows)), tuple(verts)
-
-    # -- connectivity ----------------------------------------------------
 
     def is_two_connected(self) -> bool:
         """n >= 3, connected, and no articulation vertex (Hopcroft-Tarjan)."""

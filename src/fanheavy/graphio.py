@@ -110,17 +110,12 @@ def decode_edge_list(text: str) -> Graph:
     return Graph(n, edges.values())
 
 
-def read_corpus(
-    lines: Iterable[str],
-    errors: list[tuple[int, str]] | None = None,
-) -> Iterator[tuple[int, Graph]]:
-    """Yield (corpus index, Graph) per non-empty line.
+def read_corpus(lines: Iterable[str], errors: list[tuple[int, str]]) -> Iterator[Graph]:
+    """Yield the Graph of each non-empty line, in order.
 
-    Malformed lines raise GraphFormatError with a 1-based line number,
-    unless an `errors` list is supplied, in which case the failure is
-    appended as (line_no, message) and streaming continues.
+    A malformed line is appended to `errors` as (1-based line number,
+    message) and skipped; streaming continues.
     """
-    index = 0
     for line_no, raw in enumerate(lines, start=1):
         s = raw.strip()
         if not s:
@@ -128,10 +123,6 @@ def read_corpus(
         try:
             g = decode_graph6(s)
         except GraphFormatError as exc:
-            if errors is None:
-                raise GraphFormatError(f"line {line_no}: {exc}") from exc
             errors.append((line_no, str(exc)))
             continue
-        yield index, g
-        index += 1
-
+        yield g

@@ -24,7 +24,7 @@ Canonical pattern numbering (frozen so fixtures stay stable):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterator
 
 from .graph import Graph, iter_bits, path_graph
@@ -165,8 +165,10 @@ def pattern(name: str) -> Pattern:
     return _CATALOG[key]
 
 
+@cache
 def pattern_from_spec(token: str) -> Pattern:
-    """Catalog name, or a graph6 string for a custom pattern."""
+    """Catalog name, or a graph6 string for a custom pattern, built once per
+    token so its search plans and kernels are compiled once."""
     key = token.lower()
     if key in _CATALOG:
         return pattern(key)

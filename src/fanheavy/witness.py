@@ -18,13 +18,10 @@ from .conditions import (ConditionReport, satisfies_fan, theorem4_condition,
                          theorem5_condition)
 from .cycles import find_hamilton_cycle, is_valid_cycle
 from .graph import Graph
+from .graphio import GRAPH6_MAX_N
 from .patterns import has_induced_copy, pattern
 
 MIN_WITNESS_N = 16
-
-
-class WitnessSpecError(ValueError):
-    pass
 
 
 def special_vertices(n: int) -> dict[str, int]:
@@ -33,8 +30,10 @@ def special_vertices(n: int) -> dict[str, int]:
 
 
 def build_witness(n: int) -> Graph:
-    if n < MIN_WITNESS_N or n % 2 != 0:
-        raise WitnessSpecError(f"witness requires an even n >= {MIN_WITNESS_N}, got {n}")
+    # checked before the cliques are built: their edge lists grow as n^2
+    if not MIN_WITNESS_N <= n <= GRAPH6_MAX_N or n % 2 != 0:
+        raise ValueError(
+            f"witness requires an even n in {MIN_WITNESS_N}..{GRAPH6_MAX_N}, got {n}")
     a = list(range(n // 2))
     b = list(range(n // 2, n - 7))
     s = special_vertices(n)

@@ -18,12 +18,33 @@ GRAPH_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346,
 TWO_CONNECTED_COUNTS = {3: 1, 4: 3, 5: 10, 6: 56, 7: 468, 8: 7123, 9: 194066}
 
 
+def edge_list(g: Graph) -> list[tuple[int, int]]:
+    """The edges (u, v), u < v, in ascending order."""
+    return [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.adj[u] >> v & 1]
+
+
+def induced(g: Graph, subset) -> Graph:
+    """The subgraph induced on `subset`, its vertices renumbered in sorted order."""
+    verts = sorted(subset)
+    rows = [0] * len(verts)
+    for i, v in enumerate(verts):
+        for j in range(i + 1, len(verts)):
+            if g.adj[v] >> verts[j] & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return Graph.from_rows(tuple(rows))
+
+
+def to_nx(g: Graph) -> nx.Graph:
+    """The same graph in networkx, for checks independent of the package."""
+    h = nx.empty_graph(g.n)
+    h.add_edges_from(edge_list(g))
+    return h
+
+
 def nx_isomorphic(g: Graph, h: Graph) -> bool:
     """Isomorphism by networkx, independent of the package's own search."""
-    a, b = nx.empty_graph(g.n), nx.empty_graph(h.n)
-    a.add_edges_from(g.edges())
-    b.add_edges_from(h.edges())
-    return nx.is_isomorphic(a, b)
+    return nx.is_isomorphic(to_nx(g), to_nx(h))
 
 
 # custom patterns with large automorphism groups, beyond the catalog

@@ -13,6 +13,7 @@ from fanheavy.cli import CONDITIONS, THEOREMS, evaluate_condition, hunt, main, v
 from fanheavy.generate import random_graph
 from fanheavy.graph import complete_graph, cycle_graph
 from fanheavy.graphio import decode_graph6, encode_graph6
+from fanheavy.patterns import _search_plan, pattern_from_spec
 
 from conftest import _reps, petersen
 
@@ -321,6 +322,13 @@ def test_witness_graph6_beyond_tier_exit2(capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_witness_report_beyond_tier_exit2(capsys):
+    # n is checked before the construction is built, for every --emit
+    code, out, err = run(capsys, "witness", "--n", "64", "--emit", "report")
+    assert code == 2 and out == ""
+    assert err == "error: witness requires an even n in 16..62, got 64\n"
+
+
 def test_witness_report(capsys):
     code, out, _ = run(capsys, "witness", "--n", "16", "--emit", "report")
     assert code == 0
@@ -397,6 +405,22 @@ def test_hunt_rejects_empty_pattern(tmp_path, capsys):
     code, out, err = run(capsys, "hunt", "--r", "?", "--s", "deer", "--corpus", path)
     assert code == 2 and out == ""
     assert err == "error: pattern '?' has no vertices\n"
+
+
+def test_custom_pattern_is_built_once_per_token(monkeypatch):
+    # "Dhs" (the house, C5 plus a chord) is a token no other test uses, so
+    # no earlier test has built its plans
+    built = []
+
+    def counted(p, root):
+        built.append(root)
+        return _search_plan(p, root)
+    monkeypatch.setattr("fanheavy.patterns._search_plan", counted)
+    hosts = _reps(7)[::10]
+    assert sum(not evaluate_condition(g, "f-heavy", "Dhs").verdict for g in hosts) > 10
+    house = pattern_from_spec("Dhs")
+    assert house is pattern_from_spec("Dhs")
+    assert sorted(built) == sorted(house.rooted)
 
 
 def test_json_documents_are_pinned():

@@ -92,22 +92,21 @@ def test_edge_list_rejects_repeated_edges():
 
 def test_read_corpus_in_order():
     lines = [encode_graph6(cycle_graph(n)) for n in (3, 4, 5)]
-    got = list(read_corpus(lines))
-    assert [i for i, _ in got] == [0, 1, 2]
-    assert [g.n for _, g in got] == [3, 4, 5]
+    errors = []
+    assert list(read_corpus(lines, errors)) == [cycle_graph(n) for n in (3, 4, 5)]
+    assert errors == []
 
 
 def test_read_corpus_empty_and_blank_lines():
-    assert list(read_corpus([])) == []
-    assert [g.n for _, g in read_corpus(["", "C~", "  "])] == [4]
+    errors = []
+    assert list(read_corpus([], errors)) == []
+    assert [g.n for g in read_corpus(["", "C~", "  "], errors)] == [4]
+    assert errors == []
 
 
 def test_read_corpus_reports_bad_line():
-    lines = ["C~", "!!bad!!", "A_"]
-    with pytest.raises(GraphFormatError, match="line 2"):
-        list(read_corpus(lines))
     errors = []
-    got = list(read_corpus(lines, errors=errors))
-    assert [g.n for _, g in got] == [4, 2]
+    got = list(read_corpus(["C~", "!!bad!!", "A_"], errors))
+    assert [g.n for g in got] == [4, 2]
     assert len(errors) == 1 and errors[0][0] == 2
 

@@ -14,7 +14,7 @@ from fanheavy.patterns import (CATALOG_NAMES, ISO_MAX_N, Pattern, _induced_copie
                                enumerate_induced_copies, has_induced_copy, is_isomorphic_small,
                                pattern, pattern_from_spec)
 
-from conftest import SYMMETRIC_PATTERNS, _reps, k23, nx_isomorphic
+from conftest import SYMMETRIC_PATTERNS, _reps, edge_list, induced, k23, nx_isomorphic
 
 
 def brute_force_copies(g, p):
@@ -23,11 +23,8 @@ def brute_force_copies(g, p):
     k = p.graph.n
     iso = is_isomorphic_small if k <= ISO_MAX_N else nx_isomorphic
     out = []
-    for subset in combinations(range(g.n), k):
-        sub, _ = g.induced(subset)
-        if iso(sub, p.graph):
-            out.append(subset)
-    return out
+    return [subset for subset in combinations(range(g.n), k)
+            if iso(induced(g, subset), p.graph)]
 
 
 def test_catalog_shapes():
@@ -76,7 +73,7 @@ def test_searches_use_the_plans_built_with_the_pattern(monkeypatch):
     # is_R_f_heavy call fails
     edges, n = [], 0
     for p in pats:
-        edges += [(u + n, v + n) for u, v in p.graph.edges()]
+        edges += [(u + n, v + n) for u, v in edge_list(p.graph)]
         n += p.graph.n
     g = Graph(n, edges)
     for _ in range(2):
@@ -143,7 +140,7 @@ def test_isomorphism_examples():
     assert not is_isomorphic_small(path_graph(4), pattern("claw").graph)
     deer = pattern("deer").graph
     perm = [3, 5, 0, 6, 2, 4, 1]
-    relab = Graph(7, [(perm[u], perm[v]) for u, v in deer.edges()])
+    relab = Graph(7, [(perm[u], perm[v]) for u, v in edge_list(deer)])
     assert is_isomorphic_small(deer, relab)
     with pytest.raises(ValueError):
         is_isomorphic_small(complete_graph(11), complete_graph(11))
@@ -158,8 +155,7 @@ def test_enumeration_soundness_random():
         for name in CATALOG_NAMES:
             p = pattern(name)
             for copy in enumerate_induced_copies(g, p):
-                sub, _ = g.induced(copy)
-                assert is_isomorphic_small(sub, p.graph)
+                assert is_isomorphic_small(induced(g, copy), p.graph)
 
 
 def test_enumeration_completeness_vs_brute_force():
@@ -343,10 +339,10 @@ def test_first_copy_unchanged_by_symmetry_cuts():
 
 def _orbit_count(p):
     """Aut(p)-orbits of vertices, from every permutation of p."""
-    edges = {frozenset(e) for e in p.graph.edges()}
+    edges = {frozenset(e) for e in edge_list(p.graph)}
     k = p.graph.n
     autos = [perm for perm in permutations(range(k))
-             if all(frozenset((perm[u], perm[v])) in edges for u, v in p.graph.edges())]
+             if all(frozenset((perm[u], perm[v])) in edges for u, v in edge_list(p.graph))]
     return len({frozenset(perm[v] for perm in autos) for v in range(k)})
 
 
@@ -360,7 +356,7 @@ def test_long_paths_run_across_kernel_functions():
     # last position to a second function and P25 its last five
     for k in (21, 25):
         p = Pattern(f"p{k}", path_graph(k))
-        chord = Graph(k + 1, list(cycle_graph(k + 1).edges()) + [(0, k // 2)])
+        chord = Graph(k + 1, edge_list(cycle_graph(k + 1)) + [(0, k // 2)])
         for h in (cycle_graph(k + 1), path_graph(k + 2), chord):
             expected = brute_force_copies(h, p)
             assert expected and enumerate_induced_copies(h, p) == expected

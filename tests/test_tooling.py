@@ -43,10 +43,12 @@ def test_traced_names_resolve():
         assert callable(cls.__dict__.get(meth)), f"{mod_name}.{cls_name}.{meth}"
 
 
-@pytest.mark.parametrize("workload", ["fheavy-random", "verify-n8"])
+@pytest.mark.parametrize("workload", ["fheavy-random", "verify-n8", "cycles"])
 def test_traced_benchmark_rechecks_every_result(workload):
     # the benchmark re-checks every witness with its own oracles
-    # (bench/oracles.py), and a traced run wraps every listed function
+    # (bench/oracles.py), and a traced run wraps every listed function;
+    # the run also calls the names it does not trace, such as
+    # cycles.heavy_vertices and cycles.OCycle
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--tiny",
          "--seconds", "0.5", "--trace", "1"],
