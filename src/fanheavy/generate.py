@@ -9,7 +9,8 @@ built by vertex augmentation and deduplicated on `canonical_form`, a
 refine-and-individualize canonical labeling in the style of nauty (McKay
 and Piperno, "Practical graph isomorphism II", 2014): two graphs are
 isomorphic exactly when their forms are equal, so a set of forms replaces
-pairwise isomorphism tests.
+pairwise isomorphism tests.  The automorphisms that labeling meets let the
+augmentation skip new neighbourhoods that an earlier one already covers.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import random
 from itertools import combinations
 from typing import Iterator
 
-from .graph import Graph
+from .graph import Graph, iter_bits
 
 
 def _pairs(n: int) -> list[tuple[int, int]]:
@@ -47,14 +48,16 @@ def refinement_key(g: Graph) -> tuple:
     the sorted list of (color, sorted neighbor colors) signatures, which
     is canonical across isomorphic graphs.
     """
-    nbrs = [[w for w in range(g.n) if row >> w & 1] for row in g.adj]
+    nbrs = [list(iter_bits(row)) for row in g.adj]
     colors = [len(ws) for ws in nbrs]
     edges = sum(colors) // 2
     for _ in range(3):
-        sigs = [(c, tuple(sorted([colors[w] for w in ws])))
-                for c, ws in zip(colors, nbrs)]
-        ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        colors = [ranking[s] for s in sigs]
+        sigs = [(c, sorted([colors[w] for w in ws])) for c, ws in zip(colors, nbrs)]
+        rank, last = -1, None
+        for v in sorted(range(g.n), key=sigs.__getitem__):
+            if sigs[v] != last:
+                rank, last = rank + 1, sigs[v]
+            colors[v] = rank
     return (g.n, edges, tuple(sorted(colors)))
 
 
@@ -62,15 +65,24 @@ def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> lis
     """Refine the ordered partition `cells` (vertex bitmasks) in place
     until it is equitable, splitting each cell by neighbour counts into
     each splitter; the parts of a split cell keep its place, in increasing
-    count order, and become splitters themselves.  Every choice depends on
-    the cell structure only, never on vertex labels."""
+    count order, and become splitters themselves.  A one-vertex splitter
+    has counts 0 and 1 only, so a cell splits in one step into its
+    non-neighbours and then its neighbours.  Every choice depends on the
+    cell structure only, never on vertex labels."""
     n = len(adj)
     while splitters and len(cells) < n:
         w = splitters.pop()
+        one = w & (w - 1) == 0
+        row = adj[w.bit_length() - 1]
         i = 0
         while i < len(cells):
             x = cells[i]
-            if x & (x - 1):
+            split = None
+            if one:
+                inside = x & row
+                if inside and inside != x:
+                    split = [x ^ inside, inside]
+            elif x & (x - 1):
                 parts: dict[int, int] = {}
                 rest = x
                 while rest:
@@ -80,38 +92,25 @@ def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> lis
                     rest ^= low
                 if len(parts) > 1:
                     split = [parts[k] for k in sorted(parts)]
-                    cells[i:i + 1] = split
-                    splitters.extend(split)
-                    i += len(split)
-                    continue
-            i += 1
+            if split:
+                cells[i:i + 1] = split
+                splitters += split
+                i += len(split)
+            else:
+                i += 1
     return cells
 
 
-def canonical_form(g: Graph) -> int:
-    """Canonical certificate: two graphs get the same int iff they are
-    isomorphic.
-
-    The partition {V} is refined to an equitable ordered partition (its
-    first split is by degree); each vertex of the first non-singleton cell
-    is then individualized in turn and the search recurses, down to
-    discrete partitions (leaves).  A leaf orders the vertices, and its certificate
-    is the adjacency matrix relabelled in that order, rows packed below a
-    leading 1 bit (so graphs of different order never collide).  The form
-    is the largest certificate over all leaves.  Twins u, v in the cell
-    being split (N(u) - {v} == N(v) - {u}) are swapped by an automorphism
-    that fixes the current partition, so their subtrees give the same
-    certificates and only the first is searched; this keeps cliques,
-    empty graphs and complete multipartite graphs to one branch per level.
-    Other symmetry is not pruned: k disjoint triangles still search k!
-    branches, which is cheap for the n <= 9 corpora.
-    """
-    adj = g.adj
-    n = g.n
+def _canonical_search(adj: tuple[int, ...]) -> tuple[int, list[list[int]]]:
+    """`canonical_form` of the graph with rows `adj`, and the automorphisms
+    its search met, each as the list of vertex images."""
+    n = len(adj)
     best = 0
+    best_order: list[int] = []
+    automorphisms: list[list[int]] = []
 
     def search(cells: list[int]) -> None:
-        nonlocal best
+        nonlocal best, best_order
         for t, x in enumerate(cells):
             if x & (x - 1):
                 break
@@ -129,7 +128,12 @@ def canonical_form(g: Graph) -> int:
                     rest ^= low
                 cert = (cert << n) | row
             if cert > best:
-                best = cert
+                best, best_order = cert, cells
+            elif cert == best:
+                image = [0] * n
+                for b, c in zip(best_order, cells):
+                    image[b.bit_length() - 1] = c.bit_length() - 1
+                automorphisms.append(image)
             return
         tried = 0
         rest = x
@@ -149,7 +153,31 @@ def canonical_form(g: Graph) -> int:
 
     everything = (1 << n) - 1
     search(_refine(adj, [everything] if n else [], [everything]))
-    return best
+    return best, automorphisms
+
+
+def canonical_form(g: Graph) -> int:
+    """Canonical certificate: two graphs get the same int iff they are
+    isomorphic.
+
+    The partition {V} is refined to an equitable ordered partition (its
+    first split is by degree); each vertex of the first non-singleton cell
+    is then individualized in turn and the search recurses, down to
+    discrete partitions (leaves).  A leaf orders the vertices, and its certificate
+    is the adjacency matrix relabelled in that order, rows packed below a
+    leading 1 bit (so graphs of different order never collide).  The form
+    is the largest certificate over all leaves.  Twins u, v in the cell
+    being split (N(u) - {v} == N(v) - {u}) are swapped by an automorphism
+    that fixes the current partition, so their subtrees give the same
+    certificates and only the first is searched; this keeps cliques,
+    empty graphs and complete multipartite graphs to one branch per level.
+    Other symmetry is not pruned: k disjoint triangles still search k!
+    branches, which is cheap for the n <= 9 corpora.  But a leaf whose
+    certificate equals the best one so far maps the best leaf's vertex
+    order onto its own, an automorphism; `nonisomorphic_graphs` skips
+    neighbourhoods by the automorphisms so found.
+    """
+    return _canonical_search(g.adj)[0]
 
 
 def nonisomorphic_graphs(n: int) -> list[Graph]:
@@ -158,15 +186,17 @@ def nonisomorphic_graphs(n: int) -> list[Graph]:
     Built by augmenting the (n-1)-vertex representatives with every
     possible neighborhood for a new vertex, in increasing bitmask order; a
     candidate is kept when its `canonical_form` is new.  A neighborhood S
-    is skipped, without a form, when the base has twins u < v
-    (N(u) - {v} == N(v) - {u}) with v in S and u not in S: swapping u and
-    v is an automorphism of the base, so the candidate is isomorphic to
-    the one for S - v + u, a smaller bitmask that came earlier.  So the
-    form of a skipped candidate is already in `seen`: the first candidate
-    of each class is never skipped, and the kept list is the same as
-    without the skip.  The kept graphs are grouped by `refinement_key`
-    (buckets in order of first appearance), which fixes the order of the
-    output: `tests/data/graphs8_reduced.g6` is this list for n = 8.
+    is skipped, without a form, when a known automorphism s of the base
+    gives s(S) < S as bitmasks: the candidate is isomorphic to the one for
+    s(S), which came earlier.  The known automorphisms are those that
+    `_canonical_search` meets on the base and the swaps of twins u, v
+    (N(u) - {v} == N(v) - {u}), which that search prunes.  So the form of
+    a skipped candidate is already in `seen`: the first candidate of each
+    class is the least of its orbit and never skipped, and the kept list
+    is the same as without the skip.  The kept graphs are grouped by
+    `refinement_key` (buckets in order of first appearance), which fixes
+    the order of the output: `tests/data/graphs8_reduced.g6` is this list
+    for n = 8.
     """
     if n == 0:
         return [Graph(0)]
@@ -175,16 +205,27 @@ def nonisomorphic_graphs(n: int) -> list[Graph]:
     last = 1 << (n - 1)
     for base in nonisomorphic_graphs(n - 1):
         adj = base.adj
-        # twins form classes; checking each vertex against its nearest
-        # lower twin covers every pair of a class
-        twins = []
+        # twins form classes; swapping each vertex with its nearest lower
+        # twin covers every pair of a class
+        swaps = []
         for v in range(1, n - 1):
             for u in range(v - 1, -1, -1):
                 if (adj[u] ^ adj[v]) & ~(1 << u | 1 << v) == 0:
-                    twins.append((1 << u, 1 << v))
+                    image = list(range(n - 1))
+                    image[u], image[v] = v, u
+                    swaps.append(image)
                     break
+        # images[S] is the image of the neighbourhood S, built one vertex at
+        # a time, and least[S] the least image under a known automorphism
+        least = list(range(last))
+        for image in _canonical_search(adj)[1] + swaps:
+            images = [0]
+            for v in range(n - 1):
+                bit = 1 << image[v]
+                images += [m | bit for m in images]
+            least = list(map(min, least, images))
         for nbhd in range(last):
-            if any(nbhd & vb and not nbhd & ub for ub, vb in twins):
+            if least[nbhd] < nbhd:
                 continue
             rows = list(adj) + [nbhd]
             rest = nbhd

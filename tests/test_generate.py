@@ -4,6 +4,7 @@ import random
 import networkx as nx
 import pytest
 
+from fanheavy import generate
 from fanheavy.generate import (canonical_form, labeled_graphs,
                                nonisomorphic_graphs, random_graph,
                                refinement_key)
@@ -56,6 +57,25 @@ def unpruned_nonisomorphic_graphs(n: int) -> list[Graph]:
 def test_twin_skip_keeps_the_unpruned_output():
     for n in range(0, 7):
         assert nonisomorphic_graphs(n) == unpruned_nonisomorphic_graphs(n)
+
+
+def test_automorphism_skip_keeps_the_unpruned_output_at_7():
+    assert nonisomorphic_graphs(7) == unpruned_nonisomorphic_graphs(7)
+
+
+def test_automorphism_skip_saves_canonical_searches(monkeypatch):
+    # one search per kept candidate and one per base for its automorphisms;
+    # a skipped neighbourhood gets none.  The twin skip alone made 7195.
+    calls = []
+    search = generate._canonical_search
+
+    def counted(adj):
+        calls.append(adj)
+        return search(adj)
+
+    monkeypatch.setattr(generate, "_canonical_search", counted)
+    assert len(nonisomorphic_graphs(7)) == GRAPH_COUNTS[7]
+    assert len(calls) == 5968
 
 
 def reference_refinement_key(g: Graph) -> tuple:
@@ -133,6 +153,29 @@ def test_canonical_form_agrees_with_isomorphism_test():
     assert min(outcomes.values()) > 300
 
 
+def automorphisms_hold(g: Graph) -> int:
+    """Check by the definition every automorphism the canonical search
+    returns, and count them."""
+    form, automorphisms = generate._canonical_search(g.adj)
+    assert form == canonical_form(g)
+    for image in automorphisms:
+        assert sorted(image) == list(range(g.n))
+        for v in range(g.n):
+            assert sum(1 << image[w] for w in iter_bits(g.adj[v])) == g.adj[image[v]]
+    return len(automorphisms)
+
+
+def test_search_automorphisms_on_small_classes():
+    assert sum(automorphisms_hold(g) for n in range(0, 8)
+               for g in nonisomorphic_graphs(n)) > 0
+
+
+def test_search_automorphisms_on_random_graphs():
+    rng = random.Random(41)
+    assert sum(automorphisms_hold(random_graph(rng, rng.randint(0, 10)))
+               for _ in range(300)) > 0
+
+
 def complete_bipartite(a: int, b: int) -> Graph:
     return Graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
 
@@ -155,6 +198,7 @@ def test_canonical_form_on_symmetric_graphs(g):
     u, v = edge_list(g)[0] if g.num_edges() else (0, 1)
     edges = set(edge_list(g)) ^ {(u, v)}
     assert canonical_form(Graph(g.n, edges)) != form
+    automorphisms_hold(g)
 
 
 def test_canonical_form_separates_orders():

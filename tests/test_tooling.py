@@ -43,7 +43,7 @@ def test_traced_names_resolve():
         assert callable(cls.__dict__.get(meth)), f"{mod_name}.{cls_name}.{meth}"
 
 
-@pytest.mark.parametrize("workload", ["fheavy-random", "verify-n8", "cycles"])
+@pytest.mark.parametrize("workload", ["fheavy-random", "verify-n8", "cycles", "gen-reduce"])
 def test_traced_benchmark_rechecks_every_result(workload):
     # the benchmark re-checks every witness with its own oracles
     # (bench/oracles.py), and a traced run wraps every listed function;
