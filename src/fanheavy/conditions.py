@@ -9,13 +9,14 @@ Witness contract: a failed R-f-heavy check reports the lexicographically
 first light copy of R, as a sorted tuple, and in it the lexicographically
 first light distance-2 pair.
 
-`is_R_f_heavy` runs at most one copy search, none on most hosts.  Two
-vertices at distance 2 inside an induced copy are non-adjacent in G and
-share a neighbour in G, so they are at distance 2 in G too.  Every light
-copy therefore holds two light vertices that form a distance-2 pair of G.
-When G has no such pair (Fan's condition) every R is f-heavy, and
-otherwise only copies that hold two of the vertices in such pairs need a
-check.  `is_2_heavy` is the claw walk with its violation relabelled.
+`is_R_f_heavy` runs at most two copy searches, none under Fan's
+condition.  Two vertices at distance 2 inside an induced copy are
+non-adjacent in G and share a neighbour in G, so they are at distance 2 in
+G too: when G has no light distance-2 pair (Fan's condition) every R is
+f-heavy.  The light vertices are one bitmask, and `_light_pair` finds the
+first light distance-2 pair inside a vertex mask: a copy, or all of G for
+Fan's condition.  `is_2_heavy` is the claw walk with its violation
+relabelled.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .graph import Graph, iter_bits
 from .patterns import Pattern, _induced_copies, has_induced_copy, pattern
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     kind: str  # "light-pair" | "light-claw-ends" | "forbidden-copy"
     threshold_n: int
@@ -43,7 +44,7 @@ class Violation:
         return d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConditionReport:
     condition: str
     verdict: bool
@@ -61,45 +62,39 @@ class ConditionReport:
         }
 
 
-def _light_partners(g: Graph) -> list[int]:
-    """Entry u has bit v set when u and v are light and at distance 2 in g."""
+def _light(g: Graph) -> int:
+    """The bitmask of the light vertices of g: 2*d(v) < n."""
     n = g.n
-    adj = g.adj
     light = 0
-    for v in range(n):
-        if 2 * adj[v].bit_count() < n:
+    for v, row in enumerate(g.adj):
+        if 2 * row.bit_count() < n:
             light |= 1 << v
-    partners = [0] * n
-    for u in iter_bits(light):
-        for v in iter_bits(light & ~adj[u] & ~(1 << u)):
-            if adj[u] & adj[v]:
-                partners[u] |= 1 << v
-    return partners
+    return light
 
 
-def _light_pair(adj: list[int], partners: list[int], mask: int) -> tuple[int, int] | None:
+def _light_pair(adj: list[int], light: int, mask: int) -> tuple[int, int] | None:
     """Lexicographically first pair u < v of the vertex bitmask `mask`
-    that is at distance 2 inside it with both ends light, or None;
-    `partners` is `_light_partners` of the graph."""
-    rest = mask
+    that is at distance 2 inside it with both ends in `light`, or None."""
+    rest = light & mask
     while rest:
         low = rest & -rest
         rest ^= low
         u = low.bit_length() - 1
-        near = partners[u] & rest
+        near = rest & ~adj[u]
+        common = adj[u] & mask
         while near:
             bit = near & -near
             near ^= bit
             v = bit.bit_length() - 1
-            if adj[u] & adj[v] & mask:
+            if adj[v] & common:
                 return u, v
     return None
 
 
-def _light_pair_report(condition: str, g: Graph, partners: list[int], mask: int,
+def _light_pair_report(condition: str, g: Graph, light: int, mask: int,
                        subset: tuple[int, ...] | None,
                        pattern_name: str | None) -> ConditionReport:
-    pair = _light_pair(g.adj, partners, mask)
+    pair = _light_pair(g.adj, light, mask)
     if pair is None:
         return ConditionReport(condition, True)
     u, v = pair
@@ -116,49 +111,51 @@ def copy_is_f_heavy(g: Graph, subset: tuple[int, ...] | list[int],
     for v in sub:
         g._check(v)
         mask |= 1 << v
-    return _light_pair_report("f-heavy-copy", g, _light_partners(g), mask, sub, pattern_name)
+    return _light_pair_report("f-heavy-copy", g, _light(g), mask, sub, pattern_name)
 
 
-def is_R_f_heavy(g: Graph, p: Pattern, partners: list[int] | None = None) -> ConditionReport:
+def is_R_f_heavy(g: Graph, p: Pattern, light: int | None = None) -> ConditionReport:
     """Every induced copy of p is f-heavy in g.
 
     On failure the witness is the lexicographically first light copy.
-    One search walks the copies in order of their smallest vertex, so the
-    first light copy in order is among those sharing the smallest vertex
-    of the first light copy found; the walk stops at the first copy past
-    them, or runs to the end when no copy is light.  `partners`, from
-    `_light_partners(g)`, lets a caller checking several patterns compute
-    it once.
+    The plain search runs to its first light copy; with none the verdict
+    is true.  Otherwise the first light copy in lexicographic order has a
+    smallest vertex no larger than that copy's, and a walk of the copies
+    in order of their smallest vertex, bounded there, meets it among
+    those sharing the smallest vertex of the first light copy it meets.
+    `light`, from `_light(g)`, lets a caller checking several patterns
+    compute it once.
     """
     name = f"{p.name}-f-heavy"
-    if partners is None:
-        partners = _light_partners(g)
-    ends = 0
-    for m in partners:
-        ends |= m
-    if not ends:  # Fan's condition
-        return ConditionReport(name, True)
+    if light is None:
+        light = _light(g)
     adj = g.adj
+    if _light_pair(adj, light, g.full_mask()) is None:  # Fan's condition
+        return ConditionReport(name, True)
+    for c in _induced_copies(g, p):
+        if (c & light).bit_count() >= 2 and _light_pair(adj, light, c):
+            break
+    else:
+        return ConditionReport(name, True)
     # Of two k-sets the lexicographically smaller holds the least vertex of
-    # their symmetric difference; a light copy holds two vertices of light pairs.
+    # their symmetric difference.
     best = 0
-    for c in _induced_copies(g, p, by_min=True):
+    for c in _induced_copies(g, p, by_min=True, bound=(c & -c).bit_length()):
         if best and not c & best & -best:
             break
         diff = c ^ best
-        if c & diff & -diff and (c & ends).bit_count() >= 2 and _light_pair(adj, partners, c):
+        if c & diff & -diff and (c & light).bit_count() >= 2 and _light_pair(adj, light, c):
             best = c
-    # with no light copy, best = 0 holds no pair and the report is true
-    return _light_pair_report(name, g, partners, best, tuple(iter_bits(best)), p.name)
+    return _light_pair_report(name, g, light, best, tuple(iter_bits(best)), p.name)
 
 
 def is_family_f_heavy(g: Graph, ps: list[Pattern]) -> ConditionReport:
     if not ps:
         raise ValueError("pattern family must be non-empty")
     name = "{" + ",".join(p.name for p in ps) + "}-f-heavy"
-    partners = _light_partners(g)
+    light = _light(g)
     for p in ps:
-        rep = is_R_f_heavy(g, p, partners)
+        rep = is_R_f_heavy(g, p, light)
         if not rep.verdict:
             return ConditionReport(name, False, rep.violations)
     return ConditionReport(name, True)
@@ -166,7 +163,7 @@ def is_family_f_heavy(g: Graph, ps: list[Pattern]) -> ConditionReport:
 
 def satisfies_fan(g: Graph) -> ConditionReport:
     """Fan condition: every distance-2 pair of g has a heavy endpoint."""
-    return _light_pair_report("fan", g, _light_partners(g), g.full_mask(), None, None)
+    return _light_pair_report("fan", g, _light(g), g.full_mask(), None, None)
 
 
 def is_2_heavy(g: Graph) -> ConditionReport:
@@ -194,15 +191,15 @@ def theorem5_condition(g: Graph) -> ConditionReport:
     both disjunct violations are reported, deer's first, so a claw or p7
     violation, shared by the two disjuncts, appears twice.
     """
-    partners = _light_partners(g)
+    light = _light(g)
     for name in ("claw", "p7"):
-        rep = is_R_f_heavy(g, pattern(name), partners)
+        rep = is_R_f_heavy(g, pattern(name), light)
         if not rep.verdict:
             return ConditionReport("thm5", False, rep.violations * 2)
-    deer_rep = is_R_f_heavy(g, pattern("deer"), partners)
+    deer_rep = is_R_f_heavy(g, pattern("deer"), light)
     if deer_rep.verdict:
         return ConditionReport("thm5", True)
-    hour_rep = is_R_f_heavy(g, pattern("hourglass"), partners)
+    hour_rep = is_R_f_heavy(g, pattern("hourglass"), light)
     if hour_rep.verdict:
         return ConditionReport("thm5", True)
     return ConditionReport("thm5", False, deer_rep.violations + hour_rep.violations)

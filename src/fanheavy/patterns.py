@@ -195,7 +195,8 @@ def is_isomorphic_small(g1: Graph, g2: Graph) -> bool:
     return canonical_form(g1) == canonical_form(g2)
 
 
-def _induced_copies(g: Graph, p: Pattern, by_min: bool = False) -> Iterator[int]:
+def _induced_copies(g: Graph, p: Pattern, by_min: bool = False,
+                    bound: int | None = None) -> Iterator[int]:
     """Yield the host vertex bitmask of every embedding of the pattern.
 
     Pattern vertices are mapped in the position order of the plan of
@@ -217,6 +218,7 @@ def _induced_copies(g: Graph, p: Pattern, by_min: bool = False) -> Iterator[int]
     `p.rooted` in turn is mapped to a first, with its plan.  Every copy
     with smallest vertex a is found with a root that some embedding maps
     to a; those roots form one Aut-orbit, of which `p.rooted` holds one.
+    A `bound` stops the walk before a = bound.
     """
     k = p.graph.n
     if k == 0 or k > g.n:
@@ -226,7 +228,7 @@ def _induced_copies(g: Graph, p: Pattern, by_min: bool = False) -> Iterator[int]
         yield from p.kernels[p.top](adj, 0, *[full] * k)
         return
     kernels = p.kernels.values()
-    for a in range(g.n - k + 1):
+    for a in range(g.n - k + 1 if bound is None else min(g.n - k + 1, bound)):
         rest = [full >> a << a] * (k - 1)
         for kernel in kernels:
             yield from kernel(adj, 0, 1 << a, *rest)

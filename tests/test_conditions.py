@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 import random
 from itertools import combinations, permutations
 
@@ -42,9 +43,9 @@ def test_copy_is_f_heavy_examples():
 def test_is_R_f_heavy_examples(monkeypatch):
     searches = []
 
-    def recorded(g, p, by_min=False):
-        searches.append(by_min)
-        return _induced_copies(g, p, by_min)
+    def recorded(g, p, by_min=False, bound=None):
+        searches.append((by_min, bound))
+        return _induced_copies(g, p, by_min, bound)
     monkeypatch.setattr("fanheavy.conditions._induced_copies", recorded)
     claw = pattern("claw")
     assert is_R_f_heavy(cycle_graph(6), claw).verdict  # claw-free: vacuous
@@ -53,11 +54,16 @@ def test_is_R_f_heavy_examples(monkeypatch):
     rep = is_R_f_heavy(k23(), claw)
     assert not rep.verdict and rep.violation.pair == (2, 3)
     assert rep.violation.subset == (0, 2, 3, 4)
+    # the only claw is {2, 3, 4, 5}: the walk by smallest vertex stops before 3
+    rep = is_R_f_heavy(Graph(6, [(0, 1), (2, 3), (2, 4), (2, 5)]), claw)
+    assert rep.violation.subset == (2, 3, 4, 5) and rep.violation.pair == (3, 4)
     assert is_R_f_heavy(complete_graph(5), claw).verdict  # Fan's condition
     # 2-heavy is the same claw walk
     assert not is_2_heavy(k23()).verdict and is_2_heavy(complete_graph(5)).verdict
-    # one search per check, by smallest vertex, and none under Fan's condition
-    assert searches == [True, True, True, True]
+    # None under Fan's condition, else one plain search, and a walk by
+    # smallest vertex only after a light copy, bounded at its smallest vertex + 1
+    plain, walk = (False, None), (True, 1)
+    assert searches == [plain, plain, walk, plain, walk, plain, (True, 3), plain, walk]
 
 
 def test_is_family_f_heavy_examples():
@@ -85,6 +91,23 @@ def test_is_2_heavy_examples():
     assert not is_2_heavy(star).verdict
     rep = is_2_heavy(k23())
     assert not rep.verdict and rep.violation.kind == "light-claw-ends"
+
+
+def test_reports_are_slotted_and_pickle():
+    star = Graph(4, [(0, 1), (0, 2), (0, 3)])
+    reports = [theorem5_condition(star), theorem4_condition(path_graph(7)),
+               satisfies_fan(k23()), is_2_heavy(k23()), satisfies_fan(cycle_graph(4))]
+    for rep in reports:
+        assert not any(hasattr(r, "__dict__") for r in (rep, *rep.violations))
+        back = pickle.loads(pickle.dumps(rep))
+        assert back == rep and back.to_dict() == rep.to_dict()
+    claw = {"kind": "light-pair", "pattern": "claw", "subset": [0, 1, 2, 3], "pair": [1, 2],
+            "degrees": [1, 1], "n": 4}
+    assert reports[0].to_dict() == {"condition": "thm5", "verdict": False,
+                                    "violations": [claw, claw]}
+    assert reports[1].to_dict() == {"condition": "thm4", "verdict": False, "violations": [
+        {"kind": "forbidden-copy", "pattern": "p7", "subset": list(range(7)), "n": 7}]}
+    assert reports[4].to_dict() == {"condition": "fan", "verdict": True, "violations": []}
 
 
 def _two_heavy_oracle(g):
@@ -226,11 +249,13 @@ def test_false_reports_revalidate():
     assert seen_false > 100
 
 
-# every catalog pattern, two longer paths, a disconnected custom one and
-# three whose vertices fall into few Aut-orbits (one root plan per orbit)
+# every catalog pattern, two longer paths, three disconnected ones (a custom
+# 2K1, and 2K2 and P3 u K1, whose copies span components) and three whose
+# vertices fall into few Aut-orbits (one root plan per orbit)
 ORACLE_PATTERNS = ([pattern(name) for name in CATALOG_NAMES]
                    + [Pattern("p8", _pg(8)), Pattern("p9", _pg(9)),
-                      pattern_from_spec("A?")]
+                      pattern_from_spec("A?"), Pattern("2k2", Graph(4, [(0, 1), (2, 3)])),
+                      Pattern("p3+k1", Graph(4, [(0, 1), (1, 2)]))]
                    + [SYMMETRIC_PATTERNS[name] for name in ("k33", "c5", "k14")])
 
 

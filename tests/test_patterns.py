@@ -307,6 +307,28 @@ def test_forward_checking_keeps_the_yield_sequence():
         _assert_yields_unchanged(Pattern(encode_graph6(r), r), small[:209])
 
 
+def test_bounded_walk_is_a_prefix_of_the_walk():
+    """A bound b on the walk by smallest vertex yields the copies of the
+    unbounded walk whose smallest vertex is below b, in the same order."""
+    rng = random.Random(73)
+    hosts = [g for n in range(8) for g in _reps(n)]
+    for i in range(60):
+        n = rng.randint(8, 13)
+        p = rng.uniform(0.1, 0.35) if i % 2 else rng.uniform(0.55, 0.9)
+        hosts.append(Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+    pats = ([pattern(name) for name in CATALOG_NAMES] + list(SYMMETRIC_PATTERNS.values())
+            + [pattern_from_spec(token) for token in ("A?", "CV", "DQw", "ECqo")])
+    copies = 0
+    for g in hosts:
+        for p in pats:
+            walk = list(_induced_copies(g, p, by_min=True))
+            copies += len(walk)
+            for bound in range(g.n + 1):
+                prefix = [m for m in walk if (m & -m).bit_length() <= bound]
+                assert list(_induced_copies(g, p, True, bound)) == prefix, (g, p.name, bound)
+    assert copies > 10000
+
+
 def _first_copy_unconstrained(g, links):
     """The copy search with no symmetry cuts: plan positions mapped in
     order, lowest host first; the host set of the first embedding."""
