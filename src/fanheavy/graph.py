@@ -7,6 +7,7 @@ corpora this package runs over are tiny (n <= ~20 in practice).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
@@ -14,10 +15,12 @@ class GraphError(ValueError):
     """Invalid graph construction or out-of-range vertex."""
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Graph:
     """Simple undirected graph, immutable after construction."""
 
-    __slots__ = ("n", "adj")
+    n: int
+    adj: tuple[int, ...]
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 0:
@@ -40,19 +43,6 @@ class Graph:
         object.__setattr__(g, "n", len(rows))
         object.__setattr__(g, "adj", rows)
         return g
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Graph is immutable")
-
-    def __reduce__(self):
-        # default unpickling restores slots with setattr, which raises here
-        return (Graph.from_rows, (self.adj,))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.adj))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.num_edges()})"
@@ -93,52 +83,47 @@ class Graph:
             frontier = nxt
         return seen
 
-    def is_connected(self) -> bool:
-        if self.n == 0:
-            return False
-        full = self.full_mask()
-        return self.reachable_from(1, full) == full
-
     def is_two_connected(self) -> bool:
-        """n >= 3, connected, and no articulation vertex (Hopcroft-Tarjan)."""
-        if self.n < 3 or not self.is_connected():
-            return False
-        return not self._has_articulation()
+        """n >= 3, connected, and no cut vertex, by one iterative DFS from
+        vertex 0 (Hopcroft-Tarjan, CACM 1973).
 
-    def _has_articulation(self) -> bool:
-        n = self.n
+        A frame is (v, neighbours of v not yet tried).  Parents are not
+        tracked: the tree edge from a child w back to v lowers low[w] only
+        to disc[v], so low[w] >= disc[v] still says that v cuts w's
+        subtree off.  When the first child of vertex 0 finishes, the graph
+        is 2-connected exactly when that child's subtree holds every other
+        vertex, which rules out both a second component and a cut at 0.
+        """
+        n, adj = self.n, self.adj
+        if n < 3 or not adj[0]:
+            return False
         disc = [0] * n
         low = [0] * n
-        timer = 1
-        # iterative DFS from vertex 0; state: (v, parent, neighbor iterator)
-        disc[0] = low[0] = timer
-        timer += 1
-        stack = [(0, -1, iter_bits(self.adj[0]))]
-        root_children = 0
-        while stack:
-            v, parent, it = stack[-1]
-            advanced = False
-            for w in it:
-                if disc[w] == 0:
-                    if v == 0:
-                        root_children += 1
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, v, iter_bits(self.adj[w])))
-                    advanced = True
-                    break
-                elif w != parent:
+        disc[0] = low[0] = 1
+        timer = 2
+        stack = [(0, adj[0])]
+        while True:
+            v, todo = stack[-1]
+            if todo:
+                bit = todo & -todo
+                stack[-1] = (v, todo ^ bit)
+                w = bit.bit_length() - 1
+                if disc[w]:
                     if disc[w] < low[v]:
                         low[v] = disc[w]
-            if not advanced:
-                stack.pop()
-                if stack:
-                    pv = stack[-1][0]
-                    if low[v] < low[pv]:
-                        low[pv] = low[v]
-                    if pv != 0 and low[v] >= disc[pv]:
-                        return True
-        return root_children > 1
+                else:
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    stack.append((w, adj[w]))
+                continue
+            stack.pop()
+            u = stack[-1][0]
+            if u == 0:
+                return timer > n
+            if low[v] >= disc[u]:
+                return False
+            if low[v] < low[u]:
+                low[u] = low[v]
 
     # -- Ore adjacency ---------------------------------------------------
 

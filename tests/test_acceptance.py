@@ -184,7 +184,7 @@ def test_criterion_07_lemma2_expansion():
     while trials < 1000:
         n = rng.randint(3, 12)
         g = random_graph(rng, n, rng.uniform(0.2, 0.9))
-        if not g.is_connected():
+        if g.reachable_from(1, g.full_mask()) != g.full_mask():
             continue
         oc = random_o_cycle(rng, g)
         if oc is None:

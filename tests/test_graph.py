@@ -1,3 +1,4 @@
+import itertools
 import pickle
 
 import networkx as nx
@@ -69,11 +70,18 @@ def test_degree_examples():
 
 def test_two_connected_examples():
     assert cycle_graph(4).is_two_connected()
+    assert complete_graph(3).is_two_connected()
     assert not path_graph(3).is_two_connected()
+    # two triangles sharing vertex 0: the root is the only cut vertex
     hourglass = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
     assert not hourglass.is_two_connected()
-    assert not Graph(2, [(0, 1)]).is_two_connected()
-    assert not Graph(0).is_two_connected()
+    # a triangle plus an isolated vertex, last or first
+    assert not Graph(4, [(0, 1), (0, 2), (1, 2)]).is_two_connected()
+    assert not Graph(4, [(1, 2), (1, 3), (2, 3)]).is_two_connected()
+    # DFS 0-1-2, then 1's child 3 reaches only its parent 1
+    assert not Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3)]).is_two_connected()
+    for g in (Graph(0), Graph(1), Graph(2), Graph(2, [(0, 1)])):
+        assert not g.is_two_connected()
 
 
 def test_ore_adjacent_examples():
@@ -92,6 +100,7 @@ def test_graph_is_immutable_and_hashable():
         g.n = 5
     assert g == cycle_graph(4)
     assert hash(g) == hash(cycle_graph(4))
+    assert not hasattr(g, "__dict__")
 
 
 def test_graph_pickle_roundtrip():
@@ -127,3 +136,29 @@ def _two_connected_by_deletion(g):
 @settings(max_examples=300, deadline=None)
 def test_two_connected_matches_deletion_definition(g):
     assert g.is_two_connected() == _two_connected_by_deletion(g)
+
+
+def _two_connected_by_bitmask_deletion(g):
+    """n >= 3 and connected after deleting any one vertex or none, by a
+    bitmask BFS over the rows."""
+    def connected(allowed):
+        seen = frontier = allowed & -allowed
+        while frontier:
+            nxt = 0
+            for v in range(g.n):
+                if frontier >> v & 1:
+                    nxt |= g.adj[v]
+            frontier = nxt & allowed & ~seen
+            seen |= frontier
+        return seen == allowed
+    full = (1 << g.n) - 1
+    return g.n >= 3 and connected(full) and all(
+        connected(full & ~(1 << v)) for v in range(g.n))
+
+
+def test_two_connected_matches_deletion_on_every_small_graph():
+    for n in range(7):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = Graph(n, [p for k, p in enumerate(pairs) if mask >> k & 1])
+            assert g.is_two_connected() == _two_connected_by_bitmask_deletion(g), g.adj

@@ -86,23 +86,26 @@ def test_searches_use_the_plans_built_with_the_pattern(monkeypatch):
 
 
 def test_import_builds_no_plan():
-    # a fresh interpreter, since this one has imported fanheavy already
+    # a fresh interpreter, since this one has imported fanheavy already;
+    # the package root imports no submodule, so import each of them
     code = ("import sys\n"
             "calls = []\n"
             "sys.setprofile(lambda frame, event, arg: event == 'call'"
             " and frame.f_globals.get('__name__') == 'fanheavy.patterns'"
             " and frame.f_code.co_name in ('_search_plan', '_compile')"
             " and calls.append(frame.f_code.co_name))\n"
-            "import fanheavy\n"
+            "import importlib, pkgutil, fanheavy\n"
+            "for info in pkgutil.iter_modules(fanheavy.__path__):\n"
+            "    importlib.import_module('fanheavy.' + info.name)\n"
             "sys.setprofile(None)\n"
-            "print(calls)\n")
+            "print(calls, 'fanheavy.patterns' in sys.modules)\n")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    # no plan is built and no kernel compiled
-    assert proc.stdout == "[]\n"
+    # patterns was loaded, yet no plan was built and no kernel compiled
+    assert proc.stdout == "[] True\n"
 
 
 def test_empty_pattern_has_no_copies():

@@ -3,8 +3,9 @@
 The benchmark's per-layer tracer patches program functions by name:
 `bench/spans.py` lists them, and a rename or deletion in `fanheavy` would
 make `bench/run.py --trace 1` fail, so every listed name must resolve.
-The runtime imports nothing outside the standard library, and the README's
-CLI synopsis names the options and choices the parser accepts.
+The runtime imports nothing outside the standard library, `import fanheavy`
+alone loads no submodule, and the README's CLI synopsis names the options
+and choices the parser accepts.
 """
 
 import argparse
@@ -59,6 +60,17 @@ def test_traced_benchmark_rechecks_every_result(workload):
     assert result["attempted"] > 0
 
 
+def _fresh_json(code):
+    """The JSON that `code` prints, run in a fresh interpreter that finds the
+    package under src/."""
+    env = {**os.environ,
+           "PYTHONPATH": str(ROOT / "src") + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 def test_runtime_imports_only_the_standard_library():
     # a fresh interpreter; compare with its own start-up modules, since
     # .pth hooks (such as _distutils_hack) load some before any import
@@ -68,16 +80,19 @@ def test_runtime_imports_only_the_standard_library():
             "for info in pkgutil.iter_modules(fanheavy.__path__):\n"
             "    importlib.import_module('fanheavy.' + info.name)\n"
             "print(json.dumps(sorted({m.split('.')[0] for m in set(sys.modules) - before})))\n")
-    env = {**os.environ,
-           "PYTHONPATH": str(ROOT / "src") + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    new = set(json.loads(proc.stdout))
+    new = set(_fresh_json(code))
     assert "fanheavy" in new
     # verify --workers imports multiprocessing only when it starts a pool
     assert "multiprocessing" not in new
     assert new - {"fanheavy"} <= sys.stdlib_module_names, new - sys.stdlib_module_names
+
+
+def test_package_import_loads_no_submodule():
+    # the package root re-exports nothing, so `import fanheavy` alone
+    # builds no pattern, compiles no kernel and imports no submodule
+    code = ("import json, sys, fanheavy\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('fanheavy.'))))\n")
+    assert _fresh_json(code) == []
 
 
 def _readme_synopsis() -> dict[str, str]:
