@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -127,43 +128,44 @@ class VerificationSummary:
     to_dict = _result_dict
 
 
-def _verify_one(task: tuple[Graph, str, bool]) -> tuple[bool, bool, bool]:
-    """(graph, theorem, require_2connected) -> (gate, hypothesis, hamiltonian)."""
-    g, theorem, gate2 = task
+def _verify_one(g: Graph, theorem: str, gate2: bool) -> tuple[bool, bool, str | None]:
+    """-> (gate passed, hypothesis holds, the graph6 of a counterexample or None)."""
     if gate2 and not g.is_two_connected():
-        return (False, False, False)
-    hyp = theorem_hypothesis(g, theorem).verdict
-    if not hyp:
-        return (True, False, False)
-    ham = find_hamilton_cycle(g) is not None
-    return (True, True, ham)
+        return (False, False, None)
+    if not theorem_hypothesis(g, theorem).verdict:
+        return (True, False, None)
+    if find_hamilton_cycle(g) is not None:
+        return (True, True, None)
+    # the input line less any header (decoding checks length, padding)
+    return (True, True, encode_graph6(g))
 
 
 def verify_corpus(lines, theorem: str, require_2connected: bool = True,
                   workers: int = 1) -> VerificationSummary:
+    """One pass over the corpus: each graph is read, checked and tallied in
+    turn, so memory does not grow with the corpus size."""
     if theorem not in THEOREMS:
         raise ValueError(f"unknown theorem {theorem!r}")
     summary = VerificationSummary()
     t0 = time.monotonic()
-    graphs = list(read_corpus(lines, summary.parse_errors))
-    summary.corpus_size = len(graphs)
-    tasks = [(g, theorem, require_2connected) for g in graphs]
+    graphs = read_corpus(lines, summary.parse_errors)
+    check = functools.partial(_verify_one, theorem=theorem, gate2=require_2connected)
     if workers > 1:
         import multiprocessing
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_verify_one, tasks, chunksize=256)
+        pool = multiprocessing.Pool(workers)
+        results = pool.imap(check, graphs, chunksize=256)
     else:
-        results = [_verify_one(t) for t in tasks]
-    for g, (gate, hyp, ham) in zip(graphs, results):
-        if gate:
-            summary.gate_passed += 1
-        if hyp:
-            summary.hypothesis_passed += 1
-            if ham:
+        pool = contextlib.nullcontext()
+        results = map(check, graphs)
+    with pool:
+        for gate, hyp, counterexample in results:
+            summary.corpus_size += 1
+            summary.gate_passed += gate
+            summary.hypothesis_passed += hyp
+            if counterexample is not None:
+                summary.counterexamples.append(counterexample)
+            elif hyp:
                 summary.hamiltonian += 1
-            else:
-                # the input line less any header (decoding checks length, padding)
-                summary.counterexamples.append(encode_graph6(g))
     summary.seconds = time.monotonic() - t0
     return summary
 
@@ -217,8 +219,7 @@ def cmd_witness(args) -> int:
     if args.emit == "graph6":
         print(encode_graph6(g))
         return EXIT_TRUE
-    report = classify_witness(g)
-    print(json.dumps(report.to_dict(), sort_keys=True))
+    print(json.dumps(classify_witness(g), sort_keys=True))
     return EXIT_TRUE
 
 

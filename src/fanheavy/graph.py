@@ -144,14 +144,5 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def complete_graph(n: int) -> Graph:
-    full = (1 << n) - 1
-    return Graph.from_rows(tuple(full ^ (1 << v) for v in range(n)))
-
-
-def cycle_graph(n: int) -> Graph:
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
 def path_graph(n: int) -> Graph:
     return Graph(n, [(i, i + 1) for i in range(n - 1)])

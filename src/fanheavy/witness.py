@@ -12,10 +12,7 @@ Frozen vertex order: A first (0..n/2-1), then B, then x,y,z,u,v,w,t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-
-from .conditions import (ConditionReport, satisfies_fan, theorem4_condition,
-                         theorem5_condition)
+from .conditions import satisfies_fan, theorem4_condition, theorem5_condition
 from .cycles import find_hamilton_cycle, is_valid_cycle
 from .graph import Graph
 from .graphio import GRAPH6_MAX_N
@@ -47,57 +44,27 @@ def build_witness(n: int) -> Graph:
     return Graph(n, edges)
 
 
-@dataclass(frozen=True)
-class FlagResult:
-    claimed: bool | None  # None: the construction's source makes no claim
-    verified: bool
-    detail: dict | None = None
-
-    @property
-    def agrees(self) -> bool | None:
-        return None if self.claimed is None else self.claimed == self.verified
-
-    def to_dict(self) -> dict:
-        d = {"claimed": self.claimed, "verified": self.verified, "agrees": self.agrees}
-        if self.detail is not None:
-            d["detail"] = self.detail
-        return d
+def _flag(claimed: bool | None, verified: bool, detail: dict) -> dict:
+    """One report flag; `claimed` is None where the construction's source
+    makes no claim, and `detail` is left out when its one value is empty."""
+    flag = {"claimed": claimed, "verified": verified,
+            "agrees": None if claimed is None else claimed == verified}
+    if any(detail.values()):
+        flag["detail"] = detail
+    return flag
 
 
-@dataclass(frozen=True)
-class WitnessReport:
-    n: int
-    hamiltonian: FlagResult
-    fan_condition: FlagResult
-    thm4_condition: FlagResult
-    thm5_condition: FlagResult
-    claw_free: FlagResult
-
-    def to_dict(self) -> dict:
-        flags = {f.name: getattr(self, f.name).to_dict() for f in fields(self) if f.name != "n"}
-        return {"n": self.n, "flags": flags}
-
-
-def _condition_flag(claimed: bool | None, rep: ConditionReport) -> FlagResult:
-    detail = None
-    if rep.violations:
-        detail = {"violations": [v.to_dict() for v in rep.violations]}
-    return FlagResult(claimed=claimed, verified=rep.verdict, detail=detail)
-
-
-def classify_witness(g: Graph) -> WitnessReport:
+def classify_witness(g: Graph) -> dict:
+    """The report that `witness --emit report` prints: {"n": n, "flags": {name: flag}}."""
     cycle = find_hamilton_cycle(g)
     assert cycle is None or is_valid_cycle(g, cycle)
     claw_copy = has_induced_copy(g, pattern("claw"))
-    return WitnessReport(
-        n=g.n,
-        hamiltonian=FlagResult(
-            claimed=True, verified=cycle is not None,
-            detail={"cycle": list(cycle)} if cycle else None),
-        fan_condition=_condition_flag(False, satisfies_fan(g)),
-        thm4_condition=_condition_flag(False, theorem4_condition(g)),
-        thm5_condition=_condition_flag(True, theorem5_condition(g)),
-        claw_free=FlagResult(
-            claimed=None, verified=claw_copy is None,
-            detail={"claw": list(claw_copy)} if claw_copy else None),
-    )
+    flags = {"hamiltonian": _flag(True, cycle is not None, {"cycle": list(cycle or ())})}
+    for name, claimed, check in (("fan_condition", False, satisfies_fan),
+                                 ("thm4_condition", False, theorem4_condition),
+                                 ("thm5_condition", True, theorem5_condition)):
+        rep = check(g)
+        flags[name] = _flag(claimed, rep.verdict,
+                            {"violations": [v.to_dict() for v in rep.violations]})
+    flags["claw_free"] = _flag(None, claw_copy is None, {"claw": list(claw_copy or ())})
+    return {"n": g.n, "flags": flags}

@@ -5,7 +5,7 @@ from pathlib import Path
 import networkx as nx
 import pytest
 
-from fanheavy.graph import Graph, complete_graph, cycle_graph, path_graph
+from fanheavy.graph import Graph, path_graph
 from fanheavy.graphio import decode_graph6, encode_graph6
 from fanheavy.patterns import Pattern
 
@@ -45,6 +45,15 @@ def to_nx(g: Graph) -> nx.Graph:
 def nx_isomorphic(g: Graph, h: Graph) -> bool:
     """Isomorphism by networkx, independent of the package's own search."""
     return nx.is_isomorphic(to_nx(g), to_nx(h))
+
+
+def complete_graph(n: int) -> Graph:
+    full = (1 << n) - 1
+    return Graph.from_rows(tuple(full ^ (1 << v) for v in range(n)))
+
+
+def cycle_graph(n: int) -> Graph:
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 # custom patterns with large automorphism groups, beyond the catalog

@@ -25,13 +25,14 @@ from fanheavy.cycles import (find_cycle_through, find_hamilton_cycle,
                              hamiltonian_brute_force, heavy_vertices,
                              expand_o_cycle, is_valid_cycle)
 from fanheavy.generate import labeled_graphs, random_graph, random_o_cycle
-from fanheavy.graph import Graph, complete_graph, cycle_graph, path_graph
+from fanheavy.graph import Graph, path_graph
 from fanheavy.graphio import decode_graph6, encode_graph6
 from fanheavy.patterns import (CATALOG_NAMES, Pattern, enumerate_induced_copies,
                                is_isomorphic_small, pattern)
 from fanheavy.witness import build_witness, classify_witness
 
-from conftest import TWO_CONNECTED_COUNTS, induced, k23, petersen, to_nx
+from conftest import (TWO_CONNECTED_COUNTS, complete_graph, cycle_graph, induced, k23,
+                      petersen, to_nx)
 
 SEED = 1729
 
@@ -234,29 +235,29 @@ def test_criterion_09_witness_suite():
         g = build_witness(n)
         h = to_nx(g)
         rep = classify_witness(g)
-        ok &= rep.hamiltonian.verified
-        cyc = tuple(rep.hamiltonian.detail["cycle"])
+        ok &= rep["flags"]["hamiltonian"]["verified"]
+        cyc = tuple(rep["flags"]["hamiltonian"]["detail"]["cycle"])
         ok &= is_valid_cycle(g, cyc) and len(cyc) == n
 
-        ok &= not rep.fan_condition.verified
-        v = rep.fan_condition.detail["violations"][0]
+        ok &= not rep["flags"]["fan_condition"]["verified"]
+        v = rep["flags"]["fan_condition"]["detail"]["violations"][0]
         u, w = v["pair"]
         ok &= nx.shortest_path_length(h, u, w) == 2
         ok &= 2 * g.degree(u) < n and 2 * g.degree(w) < n
 
-        ok &= not rep.thm4_condition.verified
-        v = rep.thm4_condition.detail["violations"][0]
+        ok &= not rep["flags"]["thm4_condition"]["verified"]
+        v = rep["flags"]["thm4_condition"]["detail"]["violations"][0]
         ok &= v["pattern"] == "p7"
         ok &= nx.is_isomorphic(h.subgraph(v["subset"]), to_nx(pattern("p7").graph))
 
-        ok &= rep.claw_free.verified
+        ok &= rep["flags"]["claw_free"]["verified"]
 
         # thm5: the criterion is verdict validity, not agreement with the
         # construction's claimed status
-        if rep.thm5_condition.verified:
+        if rep["flags"]["thm5_condition"]["verified"]:
             notes.append(f"n={n}: thm5 verified true (claim agrees)")
         else:
-            v = rep.thm5_condition.detail["violations"][0]
+            v = rep["flags"]["thm5_condition"]["detail"]["violations"][0]
             sub = h.subgraph(v["subset"])
             ok &= nx.is_isomorphic(sub, to_nx(pattern(v["pattern"]).graph))
             u, w = v["pair"]

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import random
@@ -9,13 +10,13 @@ from pathlib import Path
 import networkx as nx
 import pytest
 
-from fanheavy.cli import CONDITIONS, THEOREMS, evaluate_condition, hunt, main, verify_corpus
+from fanheavy.cli import (CONDITIONS, THEOREMS, evaluate_condition, hunt, main,
+                          theorem_hypothesis, verify_corpus)
 from fanheavy.generate import random_graph
-from fanheavy.graph import complete_graph, cycle_graph
 from fanheavy.graphio import decode_graph6, encode_graph6
 from fanheavy.patterns import _search_plan, pattern_from_spec
 
-from conftest import _reps, petersen
+from conftest import _reps, complete_graph, cycle_graph, petersen
 
 
 def run(capsys, *argv):
@@ -202,13 +203,52 @@ def test_verify_reports_parse_errors_and_continues(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [("verify", "--theorem", "thm1"),
-                                  ("hunt", "--r", "p7", "--s", "deer")], ids=["verify", "hunt"])
+                                  ("hunt", "--r", "p7", "--s", "deer"),
+                                  ("verify", "--theorem", "thm1", "--workers", "2")],
+                         ids=["verify", "hunt", "verify-workers2"])
 def test_corpus_not_utf8_exit2(tmp_path, capsys, argv):
+    # with workers, the decode error is raised in the pool's task feeder
     path = tmp_path / "bad.g6"
     path.write_bytes(b"C~\n\xff\xfe\n")
     code, out, err = run(capsys, *argv, "--corpus", path)
     assert code == 2 and out == ""
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_reads_its_corpus_lazily(monkeypatch):
+    taken = []
+
+    def lines():
+        for line in ("C~", "A_", "D~{"):
+            taken.append(line)
+            yield line
+    at_call = []
+    hypothesis = theorem_hypothesis
+
+    def spy(g, theorem):
+        at_call.append(len(taken))
+        return hypothesis(g, theorem)
+    monkeypatch.setattr("fanheavy.cli.theorem_hypothesis", spy)
+    summary = verify_corpus(lines(), "thm1", require_2connected=False)
+    assert at_call == [1, 2, 3] and summary.corpus_size == 3
+
+
+def test_verify_workers_match_serial_across_chunks(capsys, monkeypatch):
+    # 1201 stdin lines span several of the pool's 256-graph chunks
+    text = "C~\nA_\n" * 300 + "!!bad!!\n" + "C~\nA_\n" * 300
+    docs = []
+    for workers in ("1", "2"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, _ = run(capsys, "verify", "--corpus", "-", "--theorem", "thm1",
+                           "--no-2connected-gate", "--workers", workers)
+        assert code == 1
+        doc = json.loads(out)
+        assert doc.pop("seconds") >= 0
+        docs.append(doc)
+    assert docs[0] == docs[1]
+    assert docs[0]["counterexamples"] == ["A_"] * 600
+    assert (docs[0]["corpus_size"], docs[0]["hamiltonian"]) == (1200, 600)
+    assert [e["line"] for e in docs[0]["parse_errors"]] == [601]
 
 
 def test_verify_workers_match_serial(tmp_path, capsys):

@@ -10,11 +10,12 @@ from fanheavy.conditions import (ConditionReport, Violation, copy_is_f_heavy,
                                  is_2_heavy, is_R_f_heavy, is_R_free,
                                  is_family_f_heavy, satisfies_fan,
                                  theorem4_condition, theorem5_condition)
-from fanheavy.graph import Graph, GraphError, complete_graph, cycle_graph, path_graph
+from fanheavy.graph import Graph, GraphError, path_graph
 from fanheavy.patterns import (CATALOG_NAMES, Pattern, _induced_copies, enumerate_induced_copies,
                                has_induced_copy, pattern, pattern_from_spec, path_graph as _pg)
 
-from conftest import SYMMETRIC_PATTERNS, _reps, edge_list, k23, to_nx
+from conftest import (SYMMETRIC_PATTERNS, _reps, complete_graph, cycle_graph, edge_list, k23,
+                      to_nx)
 
 
 def random_graph(rng, n, p=None):

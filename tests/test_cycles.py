@@ -7,9 +7,9 @@ from fanheavy.cycles import (OCycle, expand_o_cycle,
                              find_cycle_through, find_hamilton_cycle,
                              hamiltonian_brute_force, heavy_vertices,
                              is_valid_cycle, make_o_cycle, normalize_cycle)
-from fanheavy.graph import Graph, complete_graph, cycle_graph, path_graph
+from fanheavy.graph import Graph, path_graph
 
-from conftest import k23, petersen
+from conftest import complete_graph, cycle_graph, k23, petersen
 
 
 def random_graph(rng, n, p=None):

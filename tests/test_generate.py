@@ -8,12 +8,12 @@ from fanheavy import generate
 from fanheavy.generate import (canonical_form, labeled_graphs,
                                nonisomorphic_graphs, random_graph,
                                refinement_key)
-from fanheavy.graph import Graph, complete_graph, cycle_graph, iter_bits
+from fanheavy.graph import Graph, iter_bits
 from fanheavy.graphio import encode_graph6
 from fanheavy.patterns import is_isomorphic_small
 
-from conftest import (GRAPH_COUNTS, TWO_CONNECTED_COUNTS, edge_list, nx_isomorphic,
-                      petersen)
+from conftest import (GRAPH_COUNTS, TWO_CONNECTED_COUNTS, complete_graph, cycle_graph,
+                      edge_list, nx_isomorphic, petersen)
 
 
 def relabel(g: Graph, rng: random.Random) -> Graph:

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanheavy.graph import (Graph, GraphError, complete_graph, cycle_graph,
-                            path_graph)
+from fanheavy.graph import Graph, GraphError, path_graph
 
-from conftest import to_nx
+from conftest import complete_graph, cycle_graph, to_nx
 
 
 def graphs(max_n=8):

@@ -3,9 +3,11 @@ import random
 import networkx as nx
 import pytest
 
-from fanheavy.graph import Graph, complete_graph, cycle_graph
+from fanheavy.graph import Graph
 from fanheavy.graphio import (GraphFormatError, decode_edge_list, decode_graph6,
                               encode_graph6, read_corpus)
+
+from conftest import complete_graph, cycle_graph
 
 
 def test_decode_known_lines():

@@ -8,13 +8,14 @@ from itertools import combinations, permutations
 import pytest
 
 from fanheavy.conditions import is_R_f_heavy
-from fanheavy.graph import Graph, complete_graph, cycle_graph, iter_bits, path_graph
+from fanheavy.graph import Graph, iter_bits, path_graph
 from fanheavy.graphio import encode_graph6
 from fanheavy.patterns import (CATALOG_NAMES, ISO_MAX_N, Pattern, _induced_copies, _search_plan,
                                enumerate_induced_copies, has_induced_copy, is_isomorphic_small,
                                pattern, pattern_from_spec)
 
-from conftest import SYMMETRIC_PATTERNS, _reps, edge_list, induced, k23, nx_isomorphic
+from conftest import (SYMMETRIC_PATTERNS, _reps, complete_graph, cycle_graph, edge_list,
+                      induced, k23, nx_isomorphic)
 
 
 def brute_force_copies(g, p):

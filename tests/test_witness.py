@@ -1,6 +1,9 @@
+import hashlib
+
 import networkx as nx
 import pytest
 
+from fanheavy.cli import main
 from fanheavy.conditions import satisfies_fan, theorem4_condition
 from fanheavy.cycles import is_valid_cycle
 from fanheavy.patterns import pattern
@@ -44,34 +47,49 @@ def test_build_witness_deterministic_no_isolated():
     assert all(g.degree(v) > 0 for v in range(g.n))
 
 
+# sha256 of the stdout of `witness --n N --emit report`
+REPORT_SHA256 = {
+    16: "663325e687d498efe8d4b469671b0e869b7044ecc97743f0cc32e3c6453575c4",
+    18: "6b21e7529742c70579bc8748963b42be9d4f3f3babb5bd2cc36dd97f382386ab",
+    20: "02b18cb9311073b8050d1324f05887b7845aa8dac33d3c5b4cd97c492418b8ad",
+}
+
+
+@pytest.mark.parametrize("n", sorted(REPORT_SHA256))
+def test_witness_report_bytes_pinned(capsys, n):
+    assert main(["witness", "--n", str(n), "--emit", "report"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_SHA256[n]
+
+
 @pytest.mark.parametrize("n", [16, 18, 20])
 def test_classify_witness_flags(n):
     # witnesses re-checked by networkx
     g = build_witness(n)
     h = to_nx(g)
     rep = classify_witness(g)
-    assert rep.hamiltonian.verified
-    cycle = tuple(rep.hamiltonian.detail["cycle"])
+    assert rep["flags"]["hamiltonian"]["verified"]
+    cycle = tuple(rep["flags"]["hamiltonian"]["detail"]["cycle"])
     assert is_valid_cycle(g, cycle) and len(cycle) == n
 
-    assert not rep.fan_condition.verified
-    v = rep.fan_condition.detail["violations"][0]
+    assert not rep["flags"]["fan_condition"]["verified"]
+    v = rep["flags"]["fan_condition"]["detail"]["violations"][0]
     u, w = v["pair"]
     assert nx.shortest_path_length(h, u, w) == 2
     assert 2 * g.degree(u) < n and 2 * g.degree(w) < n
 
-    assert not rep.thm4_condition.verified
-    v = rep.thm4_condition.detail["violations"][0]
+    assert not rep["flags"]["thm4_condition"]["verified"]
+    v = rep["flags"]["thm4_condition"]["detail"]["violations"][0]
     assert v["pattern"] == "p7"
     assert nx.is_isomorphic(h.subgraph(v["subset"]), to_nx(pattern("p7").graph))
 
-    assert rep.claw_free.verified
+    assert rep["flags"]["claw_free"]["verified"]
 
     # the thm5 verdict must be definitive; when it disagrees with the
     # construction's claim, the violation must re-validate
-    assert rep.thm5_condition.verified in (True, False)
-    if not rep.thm5_condition.verified:
-        v = rep.thm5_condition.detail["violations"][0]
+    assert rep["flags"]["thm5_condition"]["verified"] in (True, False)
+    if not rep["flags"]["thm5_condition"]["verified"]:
+        v = rep["flags"]["thm5_condition"]["detail"]["violations"][0]
         sub = h.subgraph(v["subset"])
         assert nx.is_isomorphic(sub, to_nx(pattern(v["pattern"]).graph))
         u, w = v["pair"]
@@ -80,7 +98,7 @@ def test_classify_witness_flags(n):
 
 
 def test_witness_16_report_pinned():
-    flags = classify_witness(build_witness(16)).to_dict()["flags"]
+    flags = classify_witness(build_witness(16))["flags"]
     assert flags["hamiltonian"]["detail"]["cycle"] == \
         [0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 14, 12, 8, 13, 15, 11]
     (p7,) = flags["thm4_condition"]["detail"]["violations"]
@@ -90,11 +108,11 @@ def test_witness_16_report_pinned():
 
 def test_classify_witness_reproducible():
     g = build_witness(16)
-    assert classify_witness(g).to_dict() == classify_witness(g).to_dict()
+    assert classify_witness(g) == classify_witness(g)
 
 
 def test_classify_agrees_with_direct_predicates():
     g = build_witness(18)
     rep = classify_witness(g)
-    assert rep.fan_condition.verified == satisfies_fan(g).verdict
-    assert rep.thm4_condition.verified == theorem4_condition(g).verdict
+    assert rep["flags"]["fan_condition"]["verified"] == satisfies_fan(g).verdict
+    assert rep["flags"]["thm4_condition"]["verified"] == theorem4_condition(g).verdict
