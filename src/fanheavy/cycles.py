@@ -152,16 +152,3 @@ def expand_o_cycle(g: Graph, oc: OCycle) -> tuple[int, ...]:
             f"no real cycle covers o-cycle {oc.seq} (n={g.n}); "
             "invalid input or lemma counterexample")
     return cycle
-
-
-def hamiltonian_brute_force(g: Graph) -> bool:
-    """Permutation-based Hamiltonicity oracle (independent of the solver)."""
-    from itertools import permutations
-    n = g.n
-    if n < 3:
-        return False
-    for perm in permutations(range(1, n)):
-        seq = (0,) + perm
-        if all((g.adj[seq[i]] >> seq[(i + 1) % n]) & 1 for i in range(n)):
-            return True
-    return False

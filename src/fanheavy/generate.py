@@ -1,5 +1,5 @@
-"""Small-graph corpora: exhaustive labeled enumeration, isomorphism-
-reduced representatives, and seeded random graphs.
+"""Small-graph corpora: exhaustive labeled enumeration and isomorphism-
+reduced representatives.
 
 The labeled enumerator walks every upper-triangle bitmask, so it is exact
 but exponential; it is the ground-truth corpus for n <= 6-7.  For larger
@@ -9,26 +9,22 @@ built by vertex augmentation and deduplicated on `canonical_form`, a
 refine-and-individualize canonical labeling in the style of nauty (McKay
 and Piperno, "Practical graph isomorphism II", 2014): two graphs are
 isomorphic exactly when their forms are equal, so a set of forms replaces
-pairwise isomorphism tests.  The automorphisms that labeling meets let the
-augmentation skip new neighbourhoods that an earlier one already covers.
+pairwise isomorphism tests.  The automorphisms that labeling meets, and
+the degree multisets of the one-vertex deletions, let the augmentation skip
+candidates that an earlier one already covers.
 """
 
 from __future__ import annotations
 
-import random
 from itertools import combinations
 from typing import Iterator
 
 from .graph import Graph, iter_bits
 
 
-def _pairs(n: int) -> list[tuple[int, int]]:
-    return list(combinations(range(n), 2))
-
-
 def labeled_graphs(n: int) -> Iterator[Graph]:
     """All 2^(n choose 2) labeled graphs on n vertices, by edge bitmask."""
-    pairs = _pairs(n)
+    pairs = list(combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
         rows = [0] * n
         m = mask
@@ -190,10 +186,16 @@ def nonisomorphic_graphs(n: int) -> list[Graph]:
     gives s(S) < S as bitmasks: the candidate is isomorphic to the one for
     s(S), which came earlier.  The known automorphisms are those that
     `_canonical_search` meets on the base and the swaps of twins u, v
-    (N(u) - {v} == N(v) - {u}), which that search prunes.  So the form of
-    a skipped candidate is already in `seen`: the first candidate of each
-    class is the least of its orbit and never skipped, and the kept list
-    is the same as without the skip.  The kept graphs are grouped by
+    (N(u) - {v} == N(v) - {u}), which that search prunes.  A candidate
+    G' = B_i + x is also skipped when, for some old vertex v, every base
+    with the degree multiset of G' - v comes before B_i: G' - v is
+    isomorphic to some B_j with j < i, so G' is isomorphic to a candidate
+    of B_j, which came earlier (McKay, "Isomorph-free exhaustive
+    generation", 1998).  So the form of a skipped candidate is already in
+    `seen`.  The first candidate of each class is never skipped: it is the
+    least of its orbit, and it sits at the earliest base that one vertex
+    deletion reaches from the class.  So the kept list is the same as
+    without the skips.  The kept graphs are grouped by
     `refinement_key` (buckets in order of first appearance), which fixes
     the order of the output: `tests/data/graphs8_reduced.g6` is this list
     for n = 8.
@@ -203,7 +205,12 @@ def nonisomorphic_graphs(n: int) -> list[Graph]:
     seen: set[int] = set()
     reps: dict[tuple, list[Graph]] = {}
     last = 1 << (n - 1)
-    for base in nonisomorphic_graphs(n - 1):
+    bases = nonisomorphic_graphs(n - 1)
+    # a degree multiset as one int, the sum of 1 << w*d over the degrees d;
+    # a w-bit field holds any count up to n, so the sum never carries
+    w = n.bit_length()
+    latest = {sum(1 << w * row.bit_count() for row in b.adj): i for i, b in enumerate(bases)}
+    for i, base in enumerate(bases):
         adj = base.adj
         # twins form classes; swapping each vertex with its nearest lower
         # twin covers every pair of a class
@@ -233,38 +240,24 @@ def nonisomorphic_graphs(n: int) -> list[Graph]:
                 low = rest & -rest
                 rows[low.bit_length() - 1] |= last
                 rest ^= low
-            g = Graph.from_rows(tuple(rows))
-            form = canonical_form(g)
-            if form not in seen:
-                seen.add(form)
-                reps.setdefault(refinement_key(g), []).append(g)
+            # the key of g - v: v's term goes, each neighbour's degree drops;
+            # the last old vertex first, which finds a skip sooner on average
+            terms = [1 << w * row.bit_count() for row in rows]
+            drops = [t - (t >> w) for t in terms]
+            total = sum(terms)
+            for v in range(n - 2, -1, -1):
+                key = total - terms[v]
+                rest = rows[v]
+                while rest:
+                    low = rest & -rest
+                    key -= drops[low.bit_length() - 1]
+                    rest ^= low
+                if latest[key] < i:
+                    break
+            else:
+                g = Graph.from_rows(tuple(rows))
+                form = canonical_form(g)
+                if form not in seen:
+                    seen.add(form)
+                    reps.setdefault(refinement_key(g), []).append(g)
     return [g for bucket in reps.values() for g in bucket]
-
-
-def random_graph(rng: random.Random, n: int, p: float | None = None) -> Graph:
-    if p is None:
-        p = rng.uniform(0.1, 0.9)
-    edges = [(u, v) for u, v in _pairs(n) if rng.random() < p]
-    return Graph(n, edges)
-
-
-def random_o_cycle(rng: random.Random, g: Graph):
-    """Random valid o-cycle grown greedily over the Ore-extended edge set,
-    or None when the random walk cannot close into a cycle."""
-    from .cycles import make_o_cycle
-    if g.n < 3:
-        return None
-    start = rng.randrange(g.n)
-    seq = [start]
-    target = rng.randint(3, g.n)
-    while len(seq) < target:
-        opts = [v for v in range(g.n) if v not in seq
-                and g.ore_adjacent(seq[-1], v)]
-        if not opts:
-            break
-        seq.append(rng.choice(opts))
-    while len(seq) >= 3:
-        if g.ore_adjacent(seq[-1], seq[0]):
-            return make_o_cycle(g, tuple(seq))
-        seq.pop()
-    return None

@@ -1,10 +1,12 @@
 import functools
+import itertools
 import os
 from pathlib import Path
 
 import networkx as nx
 import pytest
 
+from fanheavy.cycles import make_o_cycle
 from fanheavy.graph import Graph, path_graph
 from fanheavy.graphio import decode_graph6, encode_graph6
 from fanheavy.patterns import Pattern
@@ -54,6 +56,46 @@ def complete_graph(n: int) -> Graph:
 
 def cycle_graph(n: int) -> Graph:
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def random_graph(rng, n: int, p: float | None = None) -> Graph:
+    if p is None:
+        p = rng.uniform(0.1, 0.9)
+    return Graph(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
+                     if rng.random() < p])
+
+
+def random_o_cycle(rng, g: Graph):
+    """Random valid o-cycle grown greedily over the Ore-extended edge set,
+    or None when the random walk cannot close into a cycle."""
+    if g.n < 3:
+        return None
+    start = rng.randrange(g.n)
+    seq = [start]
+    target = rng.randint(3, g.n)
+    while len(seq) < target:
+        opts = [v for v in range(g.n) if v not in seq
+                and g.ore_adjacent(seq[-1], v)]
+        if not opts:
+            break
+        seq.append(rng.choice(opts))
+    while len(seq) >= 3:
+        if g.ore_adjacent(seq[-1], seq[0]):
+            return make_o_cycle(g, tuple(seq))
+        seq.pop()
+    return None
+
+
+def hamiltonian_brute_force(g: Graph) -> bool:
+    """Permutation-based Hamiltonicity oracle (independent of the solver)."""
+    n = g.n
+    if n < 3:
+        return False
+    for perm in itertools.permutations(range(1, n)):
+        seq = (0,) + perm
+        if all((g.adj[seq[i]] >> seq[(i + 1) % n]) & 1 for i in range(n)):
+            return True
+    return False
 
 
 # custom patterns with large automorphism groups, beyond the catalog
@@ -115,7 +157,7 @@ def reduced_9() -> Path:
     """The file of all 274668 classes with n = 9, one graph6 line each:
     the file that FANHEAVY_N9_CORPUS names or else
     tests/data/graphs9_reduced.g6.  A missing file is generated once and
-    written first (about 2.3 min); it is gitignored test data, not part
+    written first (65-90 s); it is gitignored test data, not part
     of the repository."""
     path = Path(os.environ.get("FANHEAVY_N9_CORPUS") or DATA / "graphs9_reduced.g6")
     if not path.exists():

@@ -21,18 +21,18 @@ import pytest
 from fanheavy.conditions import (is_R_f_heavy, is_R_free,
                                  satisfies_fan, theorem4_condition,
                                  theorem5_condition)
-from fanheavy.cycles import (find_cycle_through, find_hamilton_cycle,
-                             hamiltonian_brute_force, heavy_vertices,
+from fanheavy.cycles import (find_cycle_through, find_hamilton_cycle, heavy_vertices,
                              expand_o_cycle, is_valid_cycle)
-from fanheavy.generate import labeled_graphs, random_graph, random_o_cycle
+from fanheavy.generate import labeled_graphs
 from fanheavy.graph import Graph, path_graph
 from fanheavy.graphio import decode_graph6, encode_graph6
 from fanheavy.patterns import (CATALOG_NAMES, Pattern, enumerate_induced_copies,
                                is_isomorphic_small, pattern)
 from fanheavy.witness import build_witness, classify_witness
 
-from conftest import (TWO_CONNECTED_COUNTS, complete_graph, cycle_graph, induced, k23,
-                      petersen, to_nx)
+from conftest import (TWO_CONNECTED_COUNTS, complete_graph, cycle_graph,
+                      hamiltonian_brute_force, induced, k23, petersen, random_graph,
+                      random_o_cycle, to_nx)
 
 SEED = 1729
 

@@ -12,11 +12,10 @@ import pytest
 
 from fanheavy.cli import (CONDITIONS, THEOREMS, evaluate_condition, hunt, main,
                           theorem_hypothesis, verify_corpus)
-from fanheavy.generate import random_graph
 from fanheavy.graphio import decode_graph6, encode_graph6
 from fanheavy.patterns import _search_plan, pattern_from_spec
 
-from conftest import _reps, complete_graph, cycle_graph, petersen
+from conftest import _reps, complete_graph, cycle_graph, petersen, random_graph
 
 
 def run(capsys, *argv):

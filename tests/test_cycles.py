@@ -4,12 +4,12 @@ from itertools import combinations
 import pytest
 
 from fanheavy.cycles import (OCycle, expand_o_cycle,
-                             find_cycle_through, find_hamilton_cycle,
-                             hamiltonian_brute_force, heavy_vertices,
+                             find_cycle_through, find_hamilton_cycle, heavy_vertices,
                              is_valid_cycle, make_o_cycle, normalize_cycle)
 from fanheavy.graph import Graph, path_graph
 
-from conftest import complete_graph, cycle_graph, k23, petersen
+from conftest import (complete_graph, cycle_graph, hamiltonian_brute_force, k23, petersen,
+                      random_o_cycle)
 
 
 def random_graph(rng, n, p=None):
@@ -133,7 +133,6 @@ def test_expand_o_cycle_rejects_junk_input():
 
 
 def test_expand_o_cycle_randomized_never_violates():
-    from fanheavy.generate import random_o_cycle
     rng = random.Random(1729)
     trials = 0
     while trials < 300:

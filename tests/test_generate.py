@@ -6,14 +6,13 @@ import pytest
 
 from fanheavy import generate
 from fanheavy.generate import (canonical_form, labeled_graphs,
-                               nonisomorphic_graphs, random_graph,
-                               refinement_key)
+                               nonisomorphic_graphs, refinement_key)
 from fanheavy.graph import Graph, iter_bits
 from fanheavy.graphio import encode_graph6
 from fanheavy.patterns import is_isomorphic_small
 
-from conftest import (GRAPH_COUNTS, TWO_CONNECTED_COUNTS, complete_graph, cycle_graph,
-                      edge_list, nx_isomorphic, petersen)
+from conftest import (DATA, GRAPH_COUNTS, TWO_CONNECTED_COUNTS, complete_graph,
+                      cycle_graph, edge_list, nx_isomorphic, petersen, random_graph)
 
 
 def relabel(g: Graph, rng: random.Random) -> Graph:
@@ -37,6 +36,14 @@ def test_nonisomorphic_7_output_is_pinned():
     text = "\n".join(encode_graph6(g) for g in nonisomorphic_graphs(7)) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "dcabbf661381ec912d5f9629d91dd6f615570ecb705c974decb066ddf7533bd8")
+
+
+def test_regenerate_8_vertex_fixture_matches():
+    # the checked-in corpus is exactly what the generator produces
+    reps = nonisomorphic_graphs(8)
+    assert len(reps) == GRAPH_COUNTS[8]
+    expected = (DATA / "graphs8_reduced.g6").read_text().splitlines()
+    assert [encode_graph6(g) for g in reps] == expected
 
 
 def unpruned_nonisomorphic_graphs(n: int) -> list[Graph]:
@@ -64,8 +71,9 @@ def test_automorphism_skip_keeps_the_unpruned_output_at_7():
 
 
 def test_automorphism_skip_saves_canonical_searches(monkeypatch):
-    # one search per kept candidate and one per base for its automorphisms;
-    # a skipped neighbourhood gets none.  The twin skip alone made 7195.
+    # one search per base for its automorphisms and one per candidate that
+    # neither the automorphism skip nor the vertex-deletion skip drops.
+    # The twin skip alone made 7195, and the automorphism skip 5968.
     calls = []
     search = generate._canonical_search
 
@@ -75,7 +83,7 @@ def test_automorphism_skip_saves_canonical_searches(monkeypatch):
 
     monkeypatch.setattr(generate, "_canonical_search", counted)
     assert len(nonisomorphic_graphs(7)) == GRAPH_COUNTS[7]
-    assert len(calls) == 5968
+    assert len(calls) == 2052
 
 
 def reference_refinement_key(g: Graph) -> tuple:

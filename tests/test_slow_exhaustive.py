@@ -7,10 +7,10 @@ import pytest
 
 from fanheavy.conditions import satisfies_fan, theorem4_condition, theorem5_condition
 from fanheavy.cycles import find_hamilton_cycle
-from fanheavy.generate import labeled_graphs, nonisomorphic_graphs
+from fanheavy.generate import labeled_graphs
 from fanheavy.graphio import encode_graph6
 
-from conftest import DATA, GRAPH_COUNTS, TWO_CONNECTED_COUNTS
+from conftest import GRAPH_COUNTS, TWO_CONNECTED_COUNTS
 
 pytestmark = pytest.mark.slow
 
@@ -24,14 +24,6 @@ def test_theorems_on_all_labeled_7_vertex_graphs(hypothesis):
         if g.is_two_connected() and hypothesis(g).verdict and find_hamilton_cycle(g) is None:
             bad.append(encode_graph6(g))
     assert bad == []
-
-
-def test_regenerate_8_vertex_fixture_matches():
-    # the checked-in corpus is exactly what the generator produces
-    reps = nonisomorphic_graphs(8)
-    assert len(reps) == GRAPH_COUNTS[8]
-    expected = (DATA / "graphs8_reduced.g6").read_text().splitlines()
-    assert [encode_graph6(g) for g in reps] == expected
 
 
 def test_generate_9_vertex_class_counts(reduced_9, two_connected_9):
