@@ -3,7 +3,8 @@
 Commands:
   check    evaluate one condition on one graph file
   verify   corpus-wide theorem check (hypothesis => Hamiltonian)
-  hunt     search a corpus for an f-heavy non-Hamiltonian counterexample
+  hunt     search a corpus for an f-heavy non-Hamiltonian counterexample,
+           deciding each graph as verify does
   witness  emit the separating construction as graph6 or a full report
   gen      emit small-graph corpora as graph6 (labeled or iso-reduced)
 
@@ -21,13 +22,14 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 from . import conditions, generate
 from .cycles import find_hamilton_cycle
 from .graph import Graph
 from .graphio import (GraphFormatError, decode_edge_list, decode_graph6,
                       encode_graph6, read_corpus)
-from .patterns import pattern, pattern_from_spec
+from .patterns import pattern
 from .witness import build_witness, classify_witness
 
 CONDITIONS = ("fan", "2heavy", "f-heavy", "free", "thm4", "thm5")
@@ -38,12 +40,14 @@ EXIT_FALSE = 1
 EXIT_ERROR = 2
 
 
+def _open_input(path: str):
+    """Context manager over an input file, or over stdin for '-' (left open)."""
+    return contextlib.nullcontext(sys.stdin) if path == "-" else open(path)
+
+
 def _load_graph(path: str) -> Graph:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path) as fh:
-            text = fh.read()
+    with _open_input(path) as fh:
+        text = fh.read()
     lines = [ln for ln in text.splitlines() if ln.strip()]
     # graph6 has no whitespace, and an edge-list header "n m" has
     if not lines or len(lines[0].split()) > 1:
@@ -54,17 +58,12 @@ def _load_graph(path: str) -> Graph:
     return g
 
 
-def _open_corpus(path: str):
-    """Context manager over a corpus file, or over stdin for '-' (left open)."""
-    return contextlib.nullcontext(sys.stdin) if path == "-" else open(path)
-
-
 def _patterns_arg(spec: str):
     out = []
     for name in spec.split(","):
         name = name.strip()
         if name:
-            out.append(pattern_from_spec(name))
+            out.append(pattern(name))
     if not out:
         raise ValueError("empty pattern list")
     return out
@@ -105,14 +104,8 @@ def cmd_check(args) -> int:
 
 # -- verify ---------------------------------------------------------------
 
-def _result_dict(result) -> dict:
-    """The fields of a result, by name, with parse errors as objects and
-    `seconds`, if any, rounded to the millisecond."""
-    d = asdict(result)
-    d["parse_errors"] = [{"line": ln, "error": msg} for ln, msg in result.parse_errors]
-    if "seconds" in d:
-        d["seconds"] = round(result.seconds, 3)
-    return d
+def _error_dicts(errors: list[tuple[int, str]]) -> list[dict]:
+    return [{"line": ln, "error": msg} for ln, msg in errors]
 
 
 @dataclass
@@ -125,14 +118,19 @@ class VerificationSummary:
     parse_errors: list[tuple[int, str]] = field(default_factory=list)
     seconds: float = 0.0
 
-    to_dict = _result_dict
+    def to_dict(self) -> dict:
+        """The fields by name, parse errors as objects, `seconds` rounded
+        to the millisecond."""
+        return {**asdict(self), "parse_errors": _error_dicts(self.parse_errors),
+                "seconds": round(self.seconds, 3)}
 
 
-def _verify_one(g: Graph, theorem: str, gate2: bool) -> tuple[bool, bool, str | None]:
+def _verify_one(g: Graph, hypothesis: Callable[[Graph], conditions.ConditionReport],
+                gate2: bool) -> tuple[bool, bool, str | None]:
     """-> (gate passed, hypothesis holds, the graph6 of a counterexample or None)."""
     if gate2 and not g.is_two_connected():
         return (False, False, None)
-    if not theorem_hypothesis(g, theorem).verdict:
+    if not hypothesis(g).verdict:
         return (True, False, None)
     if find_hamilton_cycle(g) is not None:
         return (True, True, None)
@@ -149,10 +147,12 @@ def verify_corpus(lines, theorem: str, require_2connected: bool = True,
     summary = VerificationSummary()
     t0 = time.monotonic()
     graphs = read_corpus(lines, summary.parse_errors)
-    check = functools.partial(_verify_one, theorem=theorem, gate2=require_2connected)
+    # the global is read here, so a wrapper installed on it sees every call
+    hypothesis = functools.partial(theorem_hypothesis, theorem=theorem)
+    check = functools.partial(_verify_one, hypothesis=hypothesis, gate2=require_2connected)
     if workers > 1:
         import multiprocessing
-        pool = multiprocessing.Pool(workers)
+        pool = multiprocessing.Pool(min(workers, os.cpu_count() or 1))
         results = pool.imap(check, graphs, chunksize=256)
     else:
         pool = contextlib.nullcontext()
@@ -171,7 +171,7 @@ def verify_corpus(lines, theorem: str, require_2connected: bool = True,
 
 
 def cmd_verify(args) -> int:
-    with _open_corpus(args.corpus) as fh:
+    with _open_input(args.corpus) as fh:
         summary = verify_corpus(fh, args.theorem,
                                 require_2connected=not args.no_2connected_gate,
                                 workers=args.workers)
@@ -181,35 +181,27 @@ def cmd_verify(args) -> int:
 
 # -- hunt -----------------------------------------------------------------
 
-@dataclass
-class HuntResult:
-    triple: tuple[str, str, str]
-    counterexample: str | None
-    scanned: int
-    parse_errors: list[tuple[int, str]]
-
-    to_dict = _result_dict
-
-
-def hunt(lines, r_name: str, s_name: str) -> HuntResult:
-    family = [pattern("claw"), pattern_from_spec(r_name), pattern_from_spec(s_name)]
-    triple = ("claw", family[1].name, family[2].name)
+def hunt(lines, r_name: str, s_name: str) -> dict:
+    """The first 2-connected {claw, R, S}-f-heavy non-Hamiltonian graph of
+    the corpus, each graph decided as `verify` decides it."""
+    family = [pattern("claw"), pattern(r_name), pattern(s_name)]
+    hypothesis = functools.partial(conditions.is_family_f_heavy, ps=family)
     errors: list[tuple[int, str]] = []
-    scanned = 0
+    scanned, counterexample = 0, None
     for g in read_corpus(lines, errors):
         scanned += 1
-        # the Hamilton check first: few graphs reach the pattern searches
-        if (g.is_two_connected() and find_hamilton_cycle(g) is None
-                and conditions.is_family_f_heavy(g, family).verdict):
-            return HuntResult(triple, encode_graph6(g), scanned, errors)
-    return HuntResult(triple, None, scanned, errors)
+        counterexample = _verify_one(g, hypothesis, gate2=True)[2]
+        if counterexample is not None:
+            break
+    return {"triple": [p.name for p in family], "counterexample": counterexample,
+            "scanned": scanned, "parse_errors": _error_dicts(errors)}
 
 
 def cmd_hunt(args) -> int:
-    with _open_corpus(args.corpus) as fh:
+    with _open_input(args.corpus) as fh:
         result = hunt(fh, args.r, args.s)
-    print(json.dumps(result.to_dict(), sort_keys=True))
-    return EXIT_FALSE if result.counterexample else EXIT_TRUE
+    print(json.dumps(result, sort_keys=True))
+    return EXIT_FALSE if result["counterexample"] else EXIT_TRUE
 
 
 # -- witness --------------------------------------------------------------

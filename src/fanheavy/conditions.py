@@ -140,7 +140,7 @@ def is_R_f_heavy(g: Graph, p: Pattern, light: int | None = None) -> ConditionRep
     # Of two k-sets the lexicographically smaller holds the least vertex of
     # their symmetric difference.
     best = 0
-    for c in _induced_copies(g, p, by_min=True, bound=(c & -c).bit_length()):
+    for c in _induced_copies(g, p, below=(c & -c).bit_length()):
         if best and not c & best & -best:
             break
         diff = c ^ best

@@ -157,21 +157,14 @@ _CATALOG = {p.name: p for p in (
 CATALOG_NAMES = tuple(_CATALOG)
 
 
-def pattern(name: str) -> Pattern:
-    """The shared catalog instance named `name` (any case)."""
-    key = name.lower()
-    if key not in _CATALOG:
-        raise ValueError(f"unknown pattern {name!r} (known: {', '.join(CATALOG_NAMES)})")
-    return _CATALOG[key]
-
-
 @cache
-def pattern_from_spec(token: str) -> Pattern:
-    """Catalog name, or a graph6 string for a custom pattern, built once per
-    token so its search plans and kernels are compiled once."""
+def pattern(token: str) -> Pattern:
+    """The shared catalog instance of a name in any case, or a custom
+    pattern from a graph6 string, built once per token so its search plans
+    and kernels are compiled once."""
     key = token.lower()
     if key in _CATALOG:
-        return pattern(key)
+        return _CATALOG[key]
     from .graphio import GraphFormatError, decode_graph6
     try:
         g = decode_graph6(token)
@@ -195,8 +188,7 @@ def is_isomorphic_small(g1: Graph, g2: Graph) -> bool:
     return canonical_form(g1) == canonical_form(g2)
 
 
-def _induced_copies(g: Graph, p: Pattern, by_min: bool = False,
-                    bound: int | None = None) -> Iterator[int]:
+def _induced_copies(g: Graph, p: Pattern, below: int | None = None) -> Iterator[int]:
     """Yield the host vertex bitmask of every embedding of the pattern.
 
     Pattern vertices are mapped in the position order of the plan of
@@ -213,22 +205,23 @@ def _induced_copies(g: Graph, p: Pattern, by_min: bool = False,
     same steps in the same order as a loop reading the table would, so
     the kernel changes how fast the copies come, not which or in what order.
 
-    With `by_min`, the copies come in order of their smallest vertex: for
-    a = 0, 1, ... the host is cut to the vertices >= a, and each root of
-    `p.rooted` in turn is mapped to a first, with its plan.  Every copy
-    with smallest vertex a is found with a root that some embedding maps
-    to a; those roots form one Aut-orbit, of which `p.rooted` holds one.
-    A `bound` stops the walk before a = bound.
+    With `below`, the copies whose smallest vertex is below it come in
+    order of their smallest vertex: for a = 0, 1, ..., below - 1 the host
+    is cut to the vertices >= a, and each root of `p.rooted` in turn is
+    mapped to a first, with its plan.  Every copy with smallest vertex a
+    is found with a root that some embedding maps to a; those roots form
+    one Aut-orbit, of which `p.rooted` holds one.  `below=g.n` walks
+    every copy.
     """
     k = p.graph.n
     if k == 0 or k > g.n:
         return
     adj, full = g.adj, g.full_mask()
-    if not by_min:
+    if below is None:
         yield from p.kernels[p.top](adj, 0, *[full] * k)
         return
     kernels = p.kernels.values()
-    for a in range(g.n - k + 1 if bound is None else min(g.n - k + 1, bound)):
+    for a in range(min(g.n - k + 1, below)):
         rest = [full >> a << a] * (k - 1)
         for kernel in kernels:
             yield from kernel(adj, 0, 1 << a, *rest)

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -12,10 +13,12 @@ import pytest
 
 from fanheavy.cli import (CONDITIONS, THEOREMS, evaluate_condition, hunt, main,
                           theorem_hypothesis, verify_corpus)
+from fanheavy.conditions import is_R_f_heavy
+from fanheavy.cycles import find_hamilton_cycle
 from fanheavy.graphio import decode_graph6, encode_graph6
-from fanheavy.patterns import _search_plan, pattern_from_spec
+from fanheavy.patterns import _search_plan, pattern
 
-from conftest import _reps, complete_graph, cycle_graph, petersen, random_graph
+from conftest import _reps, complete_graph, cycle_graph, k23, petersen, random_graph
 
 
 def run(capsys, *argv):
@@ -232,6 +235,30 @@ def test_verify_reads_its_corpus_lazily(monkeypatch):
     assert at_call == [1, 2, 3] and summary.corpus_size == 3
 
 
+def test_verify_pool_is_at_most_the_cpu_count(tmp_path, capsys, monkeypatch):
+    # the fake pool starts no process: it serves imap with the built-in map
+    sizes = []
+
+    class FakePool(contextlib.nullcontext):
+        def __init__(self, processes):
+            super().__init__()
+            sizes.append(processes)
+
+        def imap(self, func, iterable, chunksize=1):
+            return map(func, iterable)
+    monkeypatch.setattr("multiprocessing.Pool", FakePool)
+    path = write_g6(tmp_path, "corpus.g6", k23(), cycle_graph(5), complete_graph(4))
+    docs = []
+    for workers in ("1", "1000000"):
+        code, out, _ = run(capsys, "verify", "--corpus", path, "--theorem", "thm1",
+                           "--workers", workers)
+        assert code == 0
+        docs.append(json.loads(out))
+        docs[-1].pop("seconds")
+    assert len(sizes) == 1 and 1 <= sizes[0] <= (os.cpu_count() or 1)
+    assert docs[0] == docs[1]
+
+
 def test_verify_workers_match_serial_across_chunks(capsys, monkeypatch):
     # 1201 stdin lines span several of the pool's 256-graph chunks
     text = "C~\nA_\n" * 300 + "!!bad!!\n" + "C~\nA_\n" * 300
@@ -301,19 +328,29 @@ def test_hunt_empty_corpus(tmp_path, capsys):
 def test_hunt_finds_planted_counterexample():
     # a 9-vertex graph that is 2-connected, claw-f-heavy, and
     # non-Hamiltonian; any {claw,claw,claw} hunt must flag it
-    from fanheavy.cli import hunt
-    from fanheavy.conditions import is_R_f_heavy
-    from fanheavy.cycles import find_hamilton_cycle
-    from fanheavy.patterns import pattern
     planted = "HHMNK_K"
     g = decode_graph6(planted)
     assert g.is_two_connected()
     assert is_R_f_heavy(g, pattern("claw")).verdict
     assert find_hamilton_cycle(g) is None
     result = hunt([encode_graph6(cycle_graph(5)), planted], "claw", "claw")
-    assert result.counterexample == planted
-    assert result.triple == ("claw", "claw", "claw")
-    assert result.scanned == 2
+    assert result == {"triple": ["claw", "claw", "claw"], "counterexample": planted,
+                      "scanned": 2, "parse_errors": []}
+
+
+def test_hunt_runs_the_hamilton_search_only_where_the_triple_holds(monkeypatch):
+    # K_{2,3} is 2-connected and fails the claw condition; C5 meets the
+    # triple and is Hamiltonian
+    searched = []
+
+    def counted(g):
+        searched.append(encode_graph6(g))
+        return find_hamilton_cycle(g)
+    monkeypatch.setattr("fanheavy.cli.find_hamilton_cycle", counted)
+    corpus = [encode_graph6(k23())] * 3 + [encode_graph6(cycle_graph(5))]
+    result = hunt(corpus, "p7", "deer")
+    assert searched == [encode_graph6(cycle_graph(5))]
+    assert result["counterexample"] is None
 
 
 def test_hunt_no_hit_under_theorem_triple(tmp_path, capsys):
@@ -457,8 +494,8 @@ def test_custom_pattern_is_built_once_per_token(monkeypatch):
     monkeypatch.setattr("fanheavy.patterns._search_plan", counted)
     hosts = _reps(7)[::10]
     assert sum(not evaluate_condition(g, "f-heavy", "Dhs").verdict for g in hosts) > 10
-    house = pattern_from_spec("Dhs")
-    assert house is pattern_from_spec("Dhs")
+    house = pattern("Dhs")
+    assert house is pattern("Dhs")
     assert sorted(built) == sorted(house.rooted)
 
 
@@ -482,5 +519,5 @@ def test_json_documents_are_pinned():
             assert doc.pop("seconds") >= 0
             digest.update(json.dumps(doc, sort_keys=True).encode())
     for r, s in (("p7", "deer"), ("claw", "claw"), ("Dhc", "hourglass")):
-        digest.update(json.dumps(hunt(corpus, r, s).to_dict(), sort_keys=True).encode())
+        digest.update(json.dumps(hunt(corpus, r, s), sort_keys=True).encode())
     assert digest.hexdigest() == "66302f5a4ae93966dc2ba1ca07c2ccf2c3f894f2d847dd02fc2e2ccc455e94db"

@@ -12,17 +12,10 @@ from fanheavy.conditions import (ConditionReport, Violation, copy_is_f_heavy,
                                  theorem4_condition, theorem5_condition)
 from fanheavy.graph import Graph, GraphError, path_graph
 from fanheavy.patterns import (CATALOG_NAMES, Pattern, _induced_copies, enumerate_induced_copies,
-                               has_induced_copy, pattern, pattern_from_spec, path_graph as _pg)
+                               has_induced_copy, pattern, path_graph as _pg)
 
 from conftest import (SYMMETRIC_PATTERNS, _reps, complete_graph, cycle_graph, edge_list, k23,
-                      to_nx)
-
-
-def random_graph(rng, n, p=None):
-    if p is None:
-        p = rng.random()
-    return Graph(n, [(u, v) for u, v in combinations(range(n), 2)
-                     if rng.random() < p])
+                      random_graph, to_nx)
 
 
 def test_copy_is_f_heavy_examples():
@@ -44,9 +37,9 @@ def test_copy_is_f_heavy_examples():
 def test_is_R_f_heavy_examples(monkeypatch):
     searches = []
 
-    def recorded(g, p, by_min=False, bound=None):
-        searches.append((by_min, bound))
-        return _induced_copies(g, p, by_min, bound)
+    def recorded(g, p, below=None):
+        searches.append(below)
+        return _induced_copies(g, p, below)
     monkeypatch.setattr("fanheavy.conditions._induced_copies", recorded)
     claw = pattern("claw")
     assert is_R_f_heavy(cycle_graph(6), claw).verdict  # claw-free: vacuous
@@ -63,8 +56,7 @@ def test_is_R_f_heavy_examples(monkeypatch):
     assert not is_2_heavy(k23()).verdict and is_2_heavy(complete_graph(5)).verdict
     # None under Fan's condition, else one plain search, and a walk by
     # smallest vertex only after a light copy, bounded at its smallest vertex + 1
-    plain, walk = (False, None), (True, 1)
-    assert searches == [plain, plain, walk, plain, walk, plain, (True, 3), plain, walk]
+    assert searches == [None, None, 1, None, 1, None, 3, None, 1]
 
 
 def test_is_family_f_heavy_examples():
@@ -175,7 +167,7 @@ def test_theorem4_condition_examples():
 def test_vacuity_R_free_implies_R_f_heavy():
     rng = random.Random(23)
     for _ in range(300):
-        g = random_graph(rng, rng.randint(1, 9))
+        g = random_graph(rng, rng.randint(1, 9), rng.random())
         for name in CATALOG_NAMES:
             p = pattern(name)
             if is_R_free(g, p):
@@ -186,7 +178,7 @@ def test_2_heavy_equivalent_to_claw_f_heavy():
     rng = random.Random(29)
     claw = pattern("claw")
     for _ in range(500):
-        g = random_graph(rng, rng.randint(1, 9))
+        g = random_graph(rng, rng.randint(1, 9), rng.random())
         assert is_R_f_heavy(g, claw).verdict == _two_heavy_oracle(g).verdict
 
 
@@ -194,7 +186,7 @@ def test_fan_implies_every_R_f_heavy():
     rng = random.Random(31)
     pats = [pattern(name) for name in CATALOG_NAMES]
     for _ in range(300):
-        g = random_graph(rng, rng.randint(1, 10))
+        g = random_graph(rng, rng.randint(1, 10), rng.random())
         if satisfies_fan(g).verdict:
             for p in pats:
                 assert is_R_f_heavy(g, p).verdict
@@ -203,7 +195,7 @@ def test_fan_implies_every_R_f_heavy():
 def test_theorem4_implies_theorem5():
     rng = random.Random(37)
     for _ in range(300):
-        g = random_graph(rng, rng.randint(1, 10))
+        g = random_graph(rng, rng.randint(1, 10), rng.random())
         if theorem4_condition(g).verdict:
             assert theorem5_condition(g).verdict
 
@@ -216,7 +208,7 @@ def test_p7_f_heavy_implies_longer_path_f_heavy():
     p8 = Pattern("p8", _pg(8))
     p9 = Pattern("p9", _pg(9))
     for _ in range(200):
-        g = random_graph(rng, rng.randint(7, 11))
+        g = random_graph(rng, rng.randint(7, 11), rng.random())
         if is_R_f_heavy(g, p7).verdict:
             assert is_R_f_heavy(g, p8).verdict
             assert is_R_f_heavy(g, p9).verdict
@@ -240,7 +232,7 @@ def test_false_reports_revalidate():
     checks = [satisfies_fan, is_2_heavy, theorem4_condition, theorem5_condition]
     seen_false = 0
     for _ in range(300):
-        g = random_graph(rng, rng.randint(2, 9))
+        g = random_graph(rng, rng.randint(2, 9), rng.random())
         for check in checks:
             rep = check(g)
             if not rep.verdict:
@@ -255,7 +247,7 @@ def test_false_reports_revalidate():
 # vertices fall into few Aut-orbits (one root plan per orbit)
 ORACLE_PATTERNS = ([pattern(name) for name in CATALOG_NAMES]
                    + [Pattern("p8", _pg(8)), Pattern("p9", _pg(9)),
-                      pattern_from_spec("A?"), Pattern("2k2", Graph(4, [(0, 1), (2, 3)])),
+                      pattern("A?"), Pattern("2k2", Graph(4, [(0, 1), (2, 3)])),
                       Pattern("p3+k1", Graph(4, [(0, 1), (1, 2)]))]
                    + [SYMMETRIC_PATTERNS[name] for name in ("k33", "c5", "k14")])
 
@@ -335,7 +327,7 @@ def test_search_results_are_pinned():
     # forbidden-copy witnesses) as well as the f-heavy and theorem reports.
     rng = random.Random(2026)
     hosts = [g for n in range(1, 8) for g in _reps(n)]
-    hosts += [random_graph(rng, rng.randint(4, 13)) for _ in range(300)]
+    hosts += [random_graph(rng, rng.randint(4, 13), rng.random()) for _ in range(300)]
     digest = hashlib.sha256()
     for g in hosts:
         for name in CATALOG_NAMES:

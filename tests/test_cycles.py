@@ -9,14 +9,7 @@ from fanheavy.cycles import (OCycle, expand_o_cycle,
 from fanheavy.graph import Graph, path_graph
 
 from conftest import (complete_graph, cycle_graph, hamiltonian_brute_force, k23, petersen,
-                      random_o_cycle)
-
-
-def random_graph(rng, n, p=None):
-    if p is None:
-        p = rng.random()
-    return Graph(n, [(u, v) for u, v in combinations(range(n), 2)
-                     if rng.random() < p])
+                      random_graph, random_o_cycle)
 
 
 def test_normalize_cycle():
@@ -35,7 +28,7 @@ def test_hamilton_cycle_revalidates():
     rng = random.Random(3)
     hits = 0
     for _ in range(300):
-        g = random_graph(rng, rng.randint(3, 10))
+        g = random_graph(rng, rng.randint(3, 10), rng.random())
         c = find_hamilton_cycle(g)
         if c is not None:
             hits += 1
@@ -47,7 +40,7 @@ def test_hamilton_cycle_revalidates():
 def test_hamilton_agrees_with_brute_force():
     rng = random.Random(5)
     for _ in range(400):
-        g = random_graph(rng, rng.randint(1, 8))
+        g = random_graph(rng, rng.randint(1, 8), rng.random())
         assert (find_hamilton_cycle(g) is not None) == hamiltonian_brute_force(g)
 
 
@@ -82,7 +75,7 @@ def test_cycle_through_covers_required_set():
     rng = random.Random(9)
     found = 0
     for _ in range(300):
-        g = random_graph(rng, rng.randint(3, 9))
+        g = random_graph(rng, rng.randint(3, 9), rng.random())
         req = set(rng.sample(range(g.n), rng.randint(0, g.n)))
         c = find_cycle_through(g, req)
         if c is not None:
@@ -193,5 +186,5 @@ def test_hamilton_agrees_with_held_karp():
 def test_held_karp_agrees_with_brute_force():
     rng = random.Random(61)
     for _ in range(200):
-        g = random_graph(rng, rng.randint(1, 8))
+        g = random_graph(rng, rng.randint(1, 8), rng.random())
         assert held_karp_hamiltonian(g) == hamiltonian_brute_force(g)

@@ -12,7 +12,7 @@ from fanheavy.graph import Graph, iter_bits, path_graph
 from fanheavy.graphio import encode_graph6
 from fanheavy.patterns import (CATALOG_NAMES, ISO_MAX_N, Pattern, _induced_copies, _search_plan,
                                enumerate_induced_copies, has_induced_copy, is_isomorphic_small,
-                               pattern, pattern_from_spec)
+                               pattern)
 
 from conftest import (SYMMETRIC_PATTERNS, _reps, complete_graph, cycle_graph, edge_list,
                       induced, k23, nx_isomorphic)
@@ -48,7 +48,7 @@ def test_unknown_pattern_rejected():
     with pytest.raises(ValueError):
         pattern("p99")
     with pytest.raises(ValueError):
-        pattern("custom")  # only catalog names; build other patterns directly
+        pattern("custom")  # neither a catalog name nor graph6
 
 
 def test_custom_pattern():
@@ -119,15 +119,14 @@ def test_empty_pattern_has_no_copies():
 
 
 def test_pattern_from_graph6_spec():
-    from fanheavy.patterns import pattern_from_spec
-    assert pattern_from_spec("deer").name == "deer"
-    p = pattern_from_spec("Cl")  # C4 in graph6
+    assert pattern("deer").name == "deer"
+    p = pattern("Cl")  # C4 in graph6
     assert is_isomorphic_small(p.graph, cycle_graph(4))
     with pytest.raises(ValueError):
-        pattern_from_spec("!!nope!!")
+        pattern("!!nope!!")
     with pytest.raises(ValueError, match="no vertices"):
-        pattern_from_spec("?")  # K0
-    assert pattern_from_spec("@").graph.n == 1
+        pattern("?")  # K0
+    assert pattern("@").graph.n == 1
 
 
 def test_enumeration_examples():
@@ -204,11 +203,11 @@ def test_search_yields_each_copy_once():
             + [Pattern("k1", Graph(1)), Pattern("k2", complete_graph(2)), Pattern("2k1", Graph(2))])
     for g in _search_hosts(59):
         for p in pats:
-            for by_min in (False, True):
-                masks = list(_induced_copies(g, p, by_min))
-                assert len(masks) == len(set(masks)), (g, p.name, by_min)
+            for below in (None, g.n):
+                masks = list(_induced_copies(g, p, below))
+                assert len(masks) == len(set(masks)), (g, p.name, below)
                 copies = sorted(tuple(v for v in range(g.n) if (m >> v) & 1) for m in masks)
-                assert copies == brute_force_copies(g, p), (g, p.name, by_min)
+                assert copies == brute_force_copies(g, p), (g, p.name, below)
 
 
 def _backward_search(g, starts):
@@ -285,11 +284,11 @@ def _assert_yields_unchanged(p, hosts):
         full = g.full_mask()
         expected = _masks(_backward_search(g, [(*plan, full, full)]))
         assert list(_induced_copies(g, p)) == expected, (g, p.name)
-        by_min = list(_induced_copies(g, p, by_min=True))
+        walk = list(_induced_copies(g, p, below=g.n))
         starts = [(*r, 1 << a, full >> a << a) for a in range(g.n - k + 1) for r in rooted]
-        assert by_min == _masks(_backward_search(g, starts)), (g, p.name)
+        assert walk == _masks(_backward_search(g, starts)), (g, p.name)
         # the same copies, one root per orbit
-        assert sorted(by_min) == sorted(expected), (g, p.name)
+        assert sorted(walk) == sorted(expected), (g, p.name)
         copies += len(expected)
     return copies
 
@@ -321,15 +320,15 @@ def test_bounded_walk_is_a_prefix_of_the_walk():
         p = rng.uniform(0.1, 0.35) if i % 2 else rng.uniform(0.55, 0.9)
         hosts.append(Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
     pats = ([pattern(name) for name in CATALOG_NAMES] + list(SYMMETRIC_PATTERNS.values())
-            + [pattern_from_spec(token) for token in ("A?", "CV", "DQw", "ECqo")])
+            + [pattern(token) for token in ("A?", "CV", "DQw", "ECqo")])
     copies = 0
     for g in hosts:
         for p in pats:
-            walk = list(_induced_copies(g, p, by_min=True))
+            walk = list(_induced_copies(g, p, below=g.n))
             copies += len(walk)
             for bound in range(g.n + 1):
                 prefix = [m for m in walk if (m & -m).bit_length() <= bound]
-                assert list(_induced_copies(g, p, True, bound)) == prefix, (g, p.name, bound)
+                assert list(_induced_copies(g, p, bound)) == prefix, (g, p.name, bound)
     assert copies > 10000
 
 
@@ -386,13 +385,13 @@ def test_long_paths_run_across_kernel_functions():
         for h in (cycle_graph(k + 1), path_graph(k + 2), chord):
             expected = brute_force_copies(h, p)
             assert expected and enumerate_induced_copies(h, p) == expected
-            assert sorted(tuple(iter_bits(m)) for m in _induced_copies(h, p, True)) == expected
+            assert sorted(tuple(iter_bits(m)) for m in _induced_copies(h, p, below=h.n)) == expected
 
 
 def test_symmetric_patterns_build_fast():
     for g in (complete_graph(12), Graph(12)):
         t0 = time.perf_counter()
-        p = pattern_from_spec(encode_graph6(g))
+        p = pattern(encode_graph6(g))
         assert len(p.kernels) == 1  # builds the plans and compiles their kernels
         assert time.perf_counter() - t0 < 1.0
         assert enumerate_induced_copies(g, p) == [tuple(range(12))]
@@ -401,4 +400,4 @@ def test_symmetric_patterns_build_fast():
             h = Graph(n, [e for e in combinations(range(n), 2) if (e in flips) != (g.num_edges() > 0)])
             expected = brute_force_copies(h, p)
             assert expected and enumerate_induced_copies(h, p) == expected
-            assert sorted(tuple(iter_bits(m)) for m in _induced_copies(h, p, True)) == expected
+            assert sorted(tuple(iter_bits(m)) for m in _induced_copies(h, p, below=h.n)) == expected

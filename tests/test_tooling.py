@@ -3,12 +3,15 @@
 The benchmark's per-layer tracer patches program functions by name:
 `bench/spans.py` lists them, and a rename or deletion in `fanheavy` would
 make `bench/run.py --trace 1` fail, so every listed name must resolve.
+Every top-level name of the package is used by the package or the
+benchmark, not only by the tests.
 The runtime imports nothing outside the standard library, `import fanheavy`
 alone loads no submodule, and the README's CLI synopsis names the options
 and choices the parser accepts.
 """
 
 import argparse
+import ast
 import importlib
 import importlib.util
 import json
@@ -16,6 +19,8 @@ import os
 import re
 import subprocess
 import sys
+import tokenize
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -58,6 +63,34 @@ def test_traced_benchmark_rechecks_every_result(workload):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert (result["correct"], result["failed"]) == (True, 0)
     assert result["attempted"] > 0
+
+
+def _top_level_names(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
+def test_every_top_level_name_is_used_outside_the_tests():
+    # a use is a name token, or a string that is exactly the name (the
+    # tracer in bench/spans.py names what it wraps); comments and
+    # docstrings do not count
+    sources = sorted((ROOT / "src" / "fanheavy").glob("*.py"))
+    uses = Counter()
+    for path in sources + sorted((ROOT / "bench").glob("*.py")):
+        with open(path, "rb") as fh:
+            for tok in tokenize.tokenize(fh.readline):
+                if tok.type == tokenize.NAME:
+                    uses[tok.string] += 1
+                elif tok.type == tokenize.STRING and tok.string[1:-1].isidentifier():
+                    uses[tok.string[1:-1]] += 1
+    unused = [f"{path.stem}.{name}" for path in sources
+              for name in _top_level_names(ast.parse(path.read_text()))
+              if not name.startswith("__") and uses[name] < 2]
+    assert unused == []
 
 
 def _fresh_json(code):
