@@ -97,7 +97,10 @@ def evaluate_condition(g: Graph, name: str, patterns_spec: str) -> conditions.Co
 
 
 def cmd_check(args) -> int:
-    rep = evaluate_condition(_load_graph(args.file), args.condition, args.patterns)
+    if args.patterns is not None and args.condition not in ("f-heavy", "free"):
+        raise ValueError(f"--patterns does not apply to --condition {args.condition}")
+    spec = "claw,p7,deer" if args.patterns is None else args.patterns
+    rep = evaluate_condition(_load_graph(args.file), args.condition, spec)
     print(json.dumps(rep.to_dict(), sort_keys=True))
     return EXIT_TRUE if rep.verdict else EXIT_FALSE
 
@@ -257,8 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="evaluate one condition on one graph")
     p.add_argument("file", help="graph file (graph6 or edge list), '-' for stdin")
     p.add_argument("--condition", required=True, choices=CONDITIONS)
-    p.add_argument("--patterns", default="claw,p7,deer",
-                   help="comma-separated pattern names for f-heavy/free")
+    p.add_argument("--patterns", help="comma-separated f-heavy/free patterns "
+                   "(default claw,p7,deer)")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("verify", help="corpus-wide theorem verification")

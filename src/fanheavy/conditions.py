@@ -1,9 +1,9 @@
 """Degree / forbidden-subgraph predicates with violation witnesses.
 
-Heaviness thresholds stay in integer arithmetic: a vertex is heavy when
-2*d(v) >= n.  Degrees are always measured in the host graph G and the
-threshold always uses n = |V(G)|, even when the distance-2 pair lives
-inside an induced copy; only the distance is taken inside the copy.
+A vertex is heavy when 2*d(v) >= n, light otherwise (`Graph.light_mask`).
+Degrees are always measured in the host graph G and the threshold always
+uses n = |V(G)|, even when the distance-2 pair lives inside an induced
+copy; only the distance is taken inside the copy.
 
 Witness contract: a failed R-f-heavy check reports the lexicographically
 first light copy of R, as a sorted tuple, and in it the lexicographically
@@ -13,10 +13,9 @@ first light distance-2 pair.
 condition.  Two vertices at distance 2 inside an induced copy are
 non-adjacent in G and share a neighbour in G, so they are at distance 2 in
 G too: when G has no light distance-2 pair (Fan's condition) every R is
-f-heavy.  The light vertices are one bitmask, and `_light_pair` finds the
-first light distance-2 pair inside a vertex mask: a copy, or all of G for
-Fan's condition.  `is_2_heavy` is the claw walk with its violation
-relabelled.
+f-heavy.  `_light_pair` finds the first light distance-2 pair inside a
+vertex mask: a copy, or all of G for Fan's condition.  `is_2_heavy` is the
+claw walk with its violation relabelled.
 """
 
 from __future__ import annotations
@@ -62,16 +61,6 @@ class ConditionReport:
         }
 
 
-def _light(g: Graph) -> int:
-    """The bitmask of the light vertices of g: 2*d(v) < n."""
-    n = g.n
-    light = 0
-    for v, row in enumerate(g.adj):
-        if 2 * row.bit_count() < n:
-            light |= 1 << v
-    return light
-
-
 def _light_pair(adj: list[int], light: int, mask: int) -> tuple[int, int] | None:
     """Lexicographically first pair u < v of the vertex bitmask `mask`
     that is at distance 2 inside it with both ends in `light`, or None."""
@@ -111,7 +100,7 @@ def copy_is_f_heavy(g: Graph, subset: tuple[int, ...] | list[int],
     for v in sub:
         g._check(v)
         mask |= 1 << v
-    return _light_pair_report("f-heavy-copy", g, _light(g), mask, sub, pattern_name)
+    return _light_pair_report("f-heavy-copy", g, g.light_mask(), mask, sub, pattern_name)
 
 
 def is_R_f_heavy(g: Graph, p: Pattern, light: int | None = None) -> ConditionReport:
@@ -123,12 +112,12 @@ def is_R_f_heavy(g: Graph, p: Pattern, light: int | None = None) -> ConditionRep
     smallest vertex no larger than that copy's, and a walk of the copies
     in order of their smallest vertex, bounded there, meets it among
     those sharing the smallest vertex of the first light copy it meets.
-    `light`, from `_light(g)`, lets a caller checking several patterns
+    `light`, from `g.light_mask()`, lets a caller checking several patterns
     compute it once.
     """
     name = f"{p.name}-f-heavy"
     if light is None:
-        light = _light(g)
+        light = g.light_mask()
     adj = g.adj
     if _light_pair(adj, light, g.full_mask()) is None:  # Fan's condition
         return ConditionReport(name, True)
@@ -153,7 +142,7 @@ def is_family_f_heavy(g: Graph, ps: list[Pattern]) -> ConditionReport:
     if not ps:
         raise ValueError("pattern family must be non-empty")
     name = "{" + ",".join(p.name for p in ps) + "}-f-heavy"
-    light = _light(g)
+    light = g.light_mask()
     for p in ps:
         rep = is_R_f_heavy(g, p, light)
         if not rep.verdict:
@@ -163,7 +152,7 @@ def is_family_f_heavy(g: Graph, ps: list[Pattern]) -> ConditionReport:
 
 def satisfies_fan(g: Graph) -> ConditionReport:
     """Fan condition: every distance-2 pair of g has a heavy endpoint."""
-    return _light_pair_report("fan", g, _light(g), g.full_mask(), None, None)
+    return _light_pair_report("fan", g, g.light_mask(), g.full_mask(), None, None)
 
 
 def is_2_heavy(g: Graph) -> ConditionReport:
@@ -191,7 +180,7 @@ def theorem5_condition(g: Graph) -> ConditionReport:
     both disjunct violations are reported, deer's first, so a claw or p7
     violation, shared by the two disjuncts, appears twice.
     """
-    light = _light(g)
+    light = g.light_mask()
     for name in ("claw", "p7"):
         rep = is_R_f_heavy(g, pattern(name), light)
         if not rep.verdict:

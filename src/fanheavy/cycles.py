@@ -3,9 +3,10 @@ set (heavy cycles), and Ore-cycle expansion to real cycles.
 
 One backtracker (`_cycle_search`) serves both solvers: a Hamilton cycle
 is a cycle through every vertex.  It is deterministic: the path starts at
-the lowest required vertex and neighbors are tried in ascending order.  Returned
-cycles are normalized (minimum vertex first, second element smaller than
-the last) so fixtures compare by equality.
+the lowest required vertex (with none, at each vertex in turn) and
+neighbors are tried in ascending order.  Returned cycles are normalized
+(minimum vertex first, second element smaller than the last) so fixtures
+compare by equality.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def make_o_cycle(g: Graph, seq: tuple[int, ...] | list[int]) -> OCycle:
 
 
 def heavy_vertices(g: Graph) -> tuple[int, ...]:
-    return tuple(v for v in range(g.n) if 2 * g.degree(v) >= g.n)
+    return tuple(iter_bits(g.full_mask() & ~g.light_mask()))
 
 
 def _cycle_search(g: Graph, start: int, req_mask: int) -> tuple[int, ...] | None:
@@ -118,21 +119,15 @@ def find_cycle_through(g: Graph, required: set[int] | tuple[int, ...]) -> tuple[
     """Some cycle whose vertex set contains `required`, or None; the
     other vertices are optional."""
     req = sorted(set(required))
-    for v in req:
-        g._check(v)
-    if g.n < 3:
-        return None
-    if not req:
-        # any cycle at all: anchor on each vertex in turn
-        for v in range(g.n):
-            c = _cycle_search(g, v, 1 << v)
-            if c is not None:
-                return c
-        return None
     req_mask = 0
     for v in req:
+        g._check(v)
         req_mask |= 1 << v
-    return _cycle_search(g, req[0], req_mask)
+    for start in req[:1] or range(g.n):
+        c = _cycle_search(g, start, req_mask | 1 << start)
+        if c is not None:
+            return c
+    return None
 
 
 def expand_o_cycle(g: Graph, oc: OCycle) -> tuple[int, ...]:

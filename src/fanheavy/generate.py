@@ -9,9 +9,9 @@ built by vertex augmentation and deduplicated on `canonical_form`, a
 refine-and-individualize canonical labeling in the style of nauty (McKay
 and Piperno, "Practical graph isomorphism II", 2014): two graphs are
 isomorphic exactly when their forms are equal, so a set of forms replaces
-pairwise isomorphism tests.  The automorphisms that labeling meets, and
-the degree multisets of the one-vertex deletions, let the augmentation skip
-candidates that an earlier one already covers.
+pairwise isomorphism tests.  The automorphisms that labeling meets (twin
+swaps included), and the degree multisets of the one-vertex deletions, let
+the augmentation skip candidates that an earlier one already covers.
 """
 
 from __future__ import annotations
@@ -99,11 +99,13 @@ def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> lis
 
 def _canonical_search(adj: tuple[int, ...]) -> tuple[int, list[list[int]]]:
     """`canonical_form` of the graph with rows `adj`, and the automorphisms
-    its search met, each as the list of vertex images."""
+    its search met, as lists of vertex images: maps between leaves of equal
+    certificate, and the swap of each twin with its nearest lower twin."""
     n = len(adj)
     best = 0
     best_order: list[int] = []
     automorphisms: list[list[int]] = []
+    twins: set[int] = set()
 
     def search(cells: list[int]) -> None:
         nonlocal best, best_order
@@ -141,6 +143,9 @@ def _canonical_search(adj: tuple[int, ...]) -> tuple[int, list[list[int]]]:
             while others:
                 u = others & -others
                 if (row ^ adj[u.bit_length() - 1]) & ~(u | low) == 0:
+                    # low now stands for its class: the next twin pairs with it
+                    twins.add(u | low)
+                    tried ^= u | low
                     break
                 others ^= u
             else:
@@ -149,6 +154,10 @@ def _canonical_search(adj: tuple[int, ...]) -> tuple[int, list[list[int]]]:
 
     everything = (1 << n) - 1
     search(_refine(adj, [everything] if n else [], [everything]))
+    for u, v in map(iter_bits, twins):
+        image = list(range(n))
+        image[u], image[v] = v, u
+        automorphisms.append(image)
     return best, automorphisms
 
 
@@ -171,7 +180,7 @@ def canonical_form(g: Graph) -> int:
     branches, which is cheap for the n <= 9 corpora.  But a leaf whose
     certificate equals the best one so far maps the best leaf's vertex
     order onto its own, an automorphism; `nonisomorphic_graphs` skips
-    neighbourhoods by the automorphisms so found.
+    neighbourhoods by these maps and by the swaps of the pruned twins.
     """
     return _canonical_search(g.adj)[0]
 
@@ -185,20 +194,18 @@ def nonisomorphic_graphs(n: int) -> list[Graph]:
     is skipped, without a form, when a known automorphism s of the base
     gives s(S) < S as bitmasks: the candidate is isomorphic to the one for
     s(S), which came earlier.  The known automorphisms are those that
-    `_canonical_search` meets on the base and the swaps of twins u, v
-    (N(u) - {v} == N(v) - {u}), which that search prunes.  A candidate
-    G' = B_i + x is also skipped when, for some old vertex v, every base
-    with the degree multiset of G' - v comes before B_i: G' - v is
-    isomorphic to some B_j with j < i, so G' is isomorphic to a candidate
-    of B_j, which came earlier (McKay, "Isomorph-free exhaustive
+    `_canonical_search` returns for the base, twin swaps included.  A
+    candidate G' = B_i + x is also skipped when, for some old vertex v,
+    every base with the degree multiset of G' - v comes before B_i: G' - v
+    is isomorphic to some B_j with j < i, so G' is isomorphic to a
+    candidate of B_j, which came earlier (McKay, "Isomorph-free exhaustive
     generation", 1998).  So the form of a skipped candidate is already in
     `seen`.  The first candidate of each class is never skipped: it is the
     least of its orbit, and it sits at the earliest base that one vertex
     deletion reaches from the class.  So the kept list is the same as
-    without the skips.  The kept graphs are grouped by
-    `refinement_key` (buckets in order of first appearance), which fixes
-    the order of the output: `tests/data/graphs8_reduced.g6` is this list
-    for n = 8.
+    without the skips.  The kept graphs are grouped by `refinement_key`
+    (buckets in order of first appearance), which fixes the order of the
+    output: `tests/data/graphs8_reduced.g6` is this list for n = 8.
     """
     if n == 0:
         return [Graph(0)]
@@ -212,20 +219,10 @@ def nonisomorphic_graphs(n: int) -> list[Graph]:
     latest = {sum(1 << w * row.bit_count() for row in b.adj): i for i, b in enumerate(bases)}
     for i, base in enumerate(bases):
         adj = base.adj
-        # twins form classes; swapping each vertex with its nearest lower
-        # twin covers every pair of a class
-        swaps = []
-        for v in range(1, n - 1):
-            for u in range(v - 1, -1, -1):
-                if (adj[u] ^ adj[v]) & ~(1 << u | 1 << v) == 0:
-                    image = list(range(n - 1))
-                    image[u], image[v] = v, u
-                    swaps.append(image)
-                    break
         # images[S] is the image of the neighbourhood S, built one vertex at
         # a time, and least[S] the least image under a known automorphism
         least = list(range(last))
-        for image in _canonical_search(adj)[1] + swaps:
+        for image in _canonical_search(adj)[1]:
             images = [0]
             for v in range(n - 1):
                 bit = 1 << image[v]

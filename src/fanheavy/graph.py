@@ -2,7 +2,8 @@
 
 Vertices are dense integers 0..n-1.  Adjacency rows are Python ints used
 as bitsets, so graphs of any size work with the same code path; the
-corpora this package runs over are tiny (n <= ~20 in practice).
+corpora this package runs over are tiny (n <= ~20 in practice).  The
+heavy-vertex threshold, 2*d(v) >= n, lives here alone, in `light_mask`.
 """
 
 from __future__ import annotations
@@ -125,7 +126,15 @@ class Graph:
             if low[v] < low[u]:
                 low[u] = low[v]
 
-    # -- Ore adjacency ---------------------------------------------------
+    # -- degree thresholds -----------------------------------------------
+
+    def light_mask(self) -> int:
+        """Bitmask of the light vertices, 2*d(v) < n; the rest are heavy."""
+        light = 0
+        for v, row in enumerate(self.adj):
+            if 2 * row.bit_count() < self.n:
+                light |= 1 << v
+        return light
 
     def ore_adjacent(self, u: int, v: int) -> bool:
         """Membership of the pair {u,v} in the Ore-extended edge set."""

@@ -57,7 +57,8 @@ def _flag(claimed: bool | None, verified: bool, detail: dict) -> dict:
 def classify_witness(g: Graph) -> dict:
     """The report that `witness --emit report` prints: {"n": n, "flags": {name: flag}}."""
     cycle = find_hamilton_cycle(g)
-    assert cycle is None or is_valid_cycle(g, cycle)
+    if cycle is not None and not is_valid_cycle(g, cycle):
+        raise RuntimeError(f"Hamilton search returned {cycle}, not a cycle of the n={g.n} graph")
     claw_copy = has_induced_copy(g, pattern("claw"))
     flags = {"hamiltonian": _flag(True, cycle is not None, {"cycle": list(cycle or ())})}
     for name, claimed, check in (("fan_condition", False, satisfies_fan),

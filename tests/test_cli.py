@@ -150,6 +150,18 @@ def test_check_free_and_table_format(tmp_path, capsys):
     assert code == 2 and out == "" and "unrecognized arguments" in err
 
 
+@pytest.mark.parametrize("condition,patterns", [("thm5", "nosuchpattern"), ("fan", "p5")])
+def test_check_refuses_patterns_the_condition_ignores(tmp_path, capsys, condition, patterns):
+    # only f-heavy and free take --patterns; the others refuse one, before
+    # the file is read
+    path = write_g6(tmp_path, "k5.g6", complete_graph(5))
+    for graph_file in (path, tmp_path / "missing.g6"):
+        code, out, err = run(capsys, "check", graph_file, "--condition", condition,
+                             "--patterns", patterns)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --patterns") and err.count("\n") == 1, err
+
+
 def test_check_custom_pattern_reports_first_light_copy(tmp_path, capsys):
     # K2 + P3 (`DCW`) has three vertex orbits, so the walk by smallest
     # vertex runs three kernels per start; its first light copy misses 0

@@ -6,6 +6,7 @@ import pytest
 from fanheavy.cycles import (OCycle, expand_o_cycle,
                              find_cycle_through, find_hamilton_cycle, heavy_vertices,
                              is_valid_cycle, make_o_cycle, normalize_cycle)
+from fanheavy.generate import labeled_graphs
 from fanheavy.graph import Graph, path_graph
 
 from conftest import (complete_graph, cycle_graph, hamiltonian_brute_force, k23, petersen,
@@ -57,6 +58,9 @@ def test_heavy_vertices_examples():
     assert heavy_vertices(cycle_graph(5)) == ()
     star = Graph(4, [(0, 1), (0, 2), (0, 3)])
     assert heavy_vertices(star) == (0,)
+    for n in range(0, 7):
+        for g in labeled_graphs(n):
+            assert heavy_vertices(g) == tuple(v for v in range(n) if 2 * g.degree(v) >= n)
 
 
 def test_cycle_through_examples():
@@ -67,6 +71,8 @@ def test_cycle_through_examples():
     tailed_triangle = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (3, 5)])
     assert find_cycle_through(tailed_triangle, ()) == (3, 4, 5)
     assert find_cycle_through(path_graph(5), ()) is None
+    for g in (Graph(0), Graph(1), path_graph(2)):
+        assert find_cycle_through(g, ()) is None
     hourglass = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
     assert find_cycle_through(hourglass, {1, 3}) is None
 

@@ -188,6 +188,25 @@ def complete_bipartite(a: int, b: int) -> Graph:
     return Graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
 
 
+def test_search_returns_the_twin_swaps():
+    # the search prunes twins u, v (N(u) - {v} == N(v) - {u}), so it meets
+    # no leaf that swaps them; it returns the swap of each vertex with its
+    # nearest lower twin itself, once, so every vertex with a twin is
+    # moved by a returned automorphism
+    graphs = [complete_graph(5), complete_bipartite(3, 3), Graph(4)]
+    graphs += [g for n in range(0, 7) for g in nonisomorphic_graphs(n)]
+    for g in graphs:
+        automorphisms_hold(g)
+        automorphisms = generate._canonical_search(g.adj)[1]
+        for v in range(g.n):
+            for u in range(v - 1, -1, -1):
+                if (g.adj[u] ^ g.adj[v]) & ~(1 << u | 1 << v) == 0:
+                    swap = list(range(g.n))
+                    swap[u], swap[v] = v, u
+                    assert automorphisms.count(swap) == 1, (encode_graph6(g), u, v)
+                    break
+
+
 def disjoint_triangles(k: int) -> Graph:
     return Graph(3 * k, [(3 * i + u, 3 * i + v) for i in range(k)
                          for u, v in ((0, 1), (0, 2), (1, 2))])

@@ -93,6 +93,15 @@ def test_every_top_level_name_is_used_outside_the_tests():
     assert unused == []
 
 
+def test_package_has_no_assert():
+    # `python -O` strips asserts, so a check in the package must be explicit
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((ROOT / "src" / "fanheavy").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
 def _fresh_json(code):
     """The JSON that `code` prints, run in a fresh interpreter that finds the
     package under src/."""

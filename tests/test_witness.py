@@ -1,4 +1,8 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -116,3 +120,21 @@ def test_classify_agrees_with_direct_predicates():
     rep = classify_witness(g)
     assert rep["flags"]["fan_condition"]["verified"] == satisfies_fan(g).verdict
     assert rep["flags"]["thm4_condition"]["verified"] == theorem4_condition(g).verdict
+
+
+def test_report_rechecks_the_cycle_under_python_O():
+    # `python -O` strips asserts, so the re-check must be explicit.  The
+    # sequence 0..15 is no cycle of the n = 16 witness: A = 0..7 and B = {8},
+    # so 7-8 is not an edge.
+    code = ("import fanheavy.witness as w\n"
+            "w.find_hamilton_cycle = lambda g: tuple(range(g.n))\n"
+            "try:\n"
+            "    w.classify_witness(w.build_witness(16))\n"
+            "except RuntimeError as exc:\n"
+            "    print('RuntimeError:', exc)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("RuntimeError:") and "n=16" in proc.stdout, proc.stdout
