@@ -59,14 +59,10 @@ def _load_graph(path: str) -> Graph:
 
 
 def _patterns_arg(spec: str):
-    out = []
-    for name in spec.split(","):
-        name = name.strip()
-        if name:
-            out.append(pattern(name))
-    if not out:
-        raise ValueError("empty pattern list")
-    return out
+    names = [name.strip() for name in spec.split(",")]
+    if not all(names):
+        raise ValueError(f"empty entry in pattern list {spec!r}")
+    return [pattern(name) for name in names]
 
 
 def theorem_hypothesis(g: Graph, theorem: str) -> conditions.ConditionReport:

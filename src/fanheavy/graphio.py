@@ -3,6 +3,8 @@
 graph6 per the de-facto standard: size byte 63+n for n <= 62, then the
 upper-triangle adjacency bits in column order x(0,1), x(0,2), x(1,2),
 x(0,3), ... packed big-endian 6 bits per character, each character +63.
+The codec holds that stream as one int: pair (r, c) with r < c is bit
+c(c-1)/2 + r, so column c is the c bits from c(c-1)/2 up.
 Only the single-byte size tier is implemented.  A line may start with the
 optional `>>graph6<<` header.
 """
@@ -16,6 +18,8 @@ from .graph import Graph
 GRAPH6_MAX_N = 62
 # optional file header, written e.g. by networkx `write_graph6(..., header=True)`
 GRAPH6_HEADER = ">>graph6<<"
+# a character holds its first stream bit on top: _REVERSED6[v] is v's 6 bits reversed
+_REVERSED6 = tuple(int(f"{v:06b}"[::-1], 2) for v in range(64))
 
 
 class GraphFormatError(ValueError):
@@ -25,19 +29,11 @@ class GraphFormatError(ValueError):
 def encode_graph6(g: Graph) -> str:
     if g.n > GRAPH6_MAX_N:
         raise GraphFormatError(f"n={g.n} exceeds the supported graph6 tier (n <= {GRAPH6_MAX_N})")
-    out = [chr(63 + g.n)]
     bits = 0
-    nbits = 0
-    for col in range(1, g.n):
-        for row in range(col):
-            bits = (bits << 1) | ((g.adj[row] >> col) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(63 + bits))
-                bits = nbits = 0
-    if nbits:
-        out.append(chr(63 + (bits << (6 - nbits))))
-    return "".join(out)
+    for c, row in enumerate(g.adj):
+        bits |= (row & ((1 << c) - 1)) << c * (c - 1) // 2
+    m = g.n * (g.n - 1) // 2
+    return chr(63 + g.n) + "".join(chr(63 + _REVERSED6[bits >> i & 63]) for i in range(0, m, 6))
 
 
 def decode_graph6(line: str) -> Graph:
@@ -52,27 +48,24 @@ def decode_graph6(line: str) -> Graph:
     if s[0] == "~":
         raise GraphFormatError("multi-byte graph6 size tier not supported (n > 62)")
     n = ord(s[0]) - 63
-    need = (n * (n - 1) // 2 + 5) // 6
+    m = n * (n - 1) // 2
+    need = (m + 5) // 6
     data = s[1:]
     if len(data) != need:
         raise GraphFormatError(
             f"expected {need} data characters for n={n}, got {len(data)}")
+    bits = 0
+    for k, ch in enumerate(data):
+        bits |= _REVERSED6[ord(ch) - 63] << 6 * k
+    if bits >> m:
+        raise GraphFormatError("nonzero padding bits")
     rows = [0] * n
-    col, row = 1, 0
-    for ch in data:
-        val = ord(ch) - 63
-        for shift in range(5, -1, -1):
-            if col >= n:
-                if (val >> shift) & 1:
-                    raise GraphFormatError("nonzero padding bits")
-                continue
-            if (val >> shift) & 1:
-                rows[row] |= 1 << col
-                rows[col] |= 1 << row
-            row += 1
-            if row == col:
-                col += 1
-                row = 0
+    for c in range(1, n):
+        rows[c] = below = bits >> c * (c - 1) // 2 & ((1 << c) - 1)
+        while below:
+            low = below & -below
+            rows[low.bit_length() - 1] |= 1 << c
+            below ^= low
     return Graph.from_rows(tuple(rows))
 
 
@@ -80,24 +73,24 @@ def decode_graph6(line: str) -> Graph:
 # First line "n m", then m lines "u v"; n <= GRAPH6_MAX_N, as for graph6.
 
 def decode_edge_list(text: str) -> Graph:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    # (physical 1-based line number, fields) of each non-empty line
+    lines = [(i, ln.split()) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise GraphFormatError("empty edge-list input")
-    head = lines[0].split()
+    head_no, head = lines[0]
     if len(head) != 2:
-        raise GraphFormatError("line 1: expected header 'n m'")
+        raise GraphFormatError(f"line {head_no}: expected header 'n m'")
     try:
         n, m = int(head[0]), int(head[1])
     except ValueError:
-        raise GraphFormatError("line 1: expected integer header 'n m'")
+        raise GraphFormatError(f"line {head_no}: expected integer header 'n m'")
     if n > GRAPH6_MAX_N:
         # the graph6 limit, checked before any row is allocated
-        raise GraphFormatError(f"line 1: n={n} exceeds the supported n <= {GRAPH6_MAX_N}")
+        raise GraphFormatError(f"line {head_no}: n={n} exceeds the supported n <= {GRAPH6_MAX_N}")
     if len(lines) - 1 != m:
         raise GraphFormatError(f"expected {m} edge lines, got {len(lines) - 1}")
     edges = {}
-    for i, ln in enumerate(lines[1:], start=2):
-        parts = ln.split()
+    for i, parts in lines[1:]:
         if len(parts) != 2:
             raise GraphFormatError(f"line {i}: expected edge 'u v'")
         try:

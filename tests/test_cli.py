@@ -162,6 +162,14 @@ def test_check_refuses_patterns_the_condition_ignores(tmp_path, capsys, conditio
         assert err.startswith("error: --patterns") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("spec", ["claw,,p7", "p7,"])
+def test_check_refuses_empty_pattern_entries(tmp_path, capsys, spec):
+    path = write_g6(tmp_path, "k5.g6", complete_graph(5))
+    code, out, err = run(capsys, "check", path, "--condition", "f-heavy", "--patterns", spec)
+    assert (code, out) == (2, "")
+    assert err == f"error: empty entry in pattern list {spec!r}\n"
+
+
 def test_check_custom_pattern_reports_first_light_copy(tmp_path, capsys):
     # K2 + P3 (`DCW`) has three vertex orbits, so the walk by smallest
     # vertex runs three kernels per start; its first light copy misses 0

@@ -22,7 +22,7 @@ def test_decode_strips_header():
         line = nx.to_graph6_bytes(ref, header=True).decode()
         assert line.startswith(">>graph6<<")
         assert decode_graph6(line) == g
-    with pytest.raises(GraphFormatError):
+    with pytest.raises(GraphFormatError, match="empty graph6 line"):
         decode_graph6(">>graph6<<")
 
 
@@ -41,7 +41,7 @@ def test_reference_encodings_complete_graphs():
 def test_roundtrip_random_graphs_matches_reference():
     rng = random.Random(42)
     for _ in range(200):
-        n = rng.randint(0, 20)
+        n = rng.randint(0, 62)
         edges = [(u, v) for u in range(n) for v in range(u + 1, n)
                  if rng.random() < 0.4]
         g = Graph(n, edges)
@@ -54,16 +54,16 @@ def test_roundtrip_random_graphs_matches_reference():
 
 
 def test_decode_rejects_bad_input():
-    with pytest.raises(GraphFormatError):
-        decode_graph6("")
-    with pytest.raises(GraphFormatError):
-        decode_graph6("C")  # truncated data for n=4
-    with pytest.raises(GraphFormatError):
-        decode_graph6("C~~")  # too much data
-    with pytest.raises(GraphFormatError):
-        decode_graph6("\x1f~")  # character below range
-    with pytest.raises(GraphFormatError):
-        decode_graph6("~??@")  # multi-byte size tier
+    for line, message in (
+            ("", "empty graph6 line"),
+            ("C", "expected 1 data characters for n=4, got 0"),  # truncated data
+            ("C~~", "expected 1 data characters for n=4, got 2"),  # too much data
+            ("C>", "character '>' outside graph6 range 63..126"),  # character below range
+            ("~??@", "multi-byte graph6 size tier not supported"),
+            # n=3: three pair bits 111, then padding 001
+            ("Bx", "nonzero padding bits")):
+        with pytest.raises(GraphFormatError, match=message):
+            decode_graph6(line)
 
 
 def test_encode_rejects_oversize():
@@ -82,6 +82,11 @@ def test_edge_list_errors_carry_line_numbers():
         decode_edge_list("bogus header")
     with pytest.raises(GraphFormatError, match="line 2"):
         decode_edge_list("3 1\n0 x")
+    # blank lines count: the number is the physical line
+    with pytest.raises(GraphFormatError, match="line 4: expected integer edge"):
+        decode_edge_list("3 1\n\n\n0 x")
+    with pytest.raises(GraphFormatError, match="line 3: expected integer header"):
+        decode_edge_list("\n\nbogus header")
 
 
 def test_edge_list_rejects_repeated_edges():
