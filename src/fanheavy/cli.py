@@ -28,7 +28,7 @@ from . import conditions, generate
 from .cycles import find_hamilton_cycle
 from .graph import Graph
 from .graphio import (GraphFormatError, decode_edge_list, decode_graph6,
-                      encode_graph6, read_corpus)
+                      encode_graph6, line_fields, read_corpus)
 from .patterns import pattern
 from .witness import build_witness, classify_witness
 
@@ -48,11 +48,11 @@ def _open_input(path: str):
 def _load_graph(path: str) -> Graph:
     with _open_input(path) as fh:
         text = fh.read()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = line_fields(text)
     # graph6 has no whitespace, and an edge-list header "n m" has
-    if not lines or len(lines[0].split()) > 1:
+    if not lines or len(lines[0][1]) > 1:
         return decode_edge_list(text)
-    g = decode_graph6(lines[0])
+    g = decode_graph6(lines[0][1][0])
     if len(lines) > 1:
         raise GraphFormatError(f"check takes one graph, the input has {len(lines)} graph6 lines")
     return g

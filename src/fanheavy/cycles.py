@@ -75,10 +75,14 @@ def _cycle_search(g: Graph, start: int, req_mask: int) -> tuple[int, ...] | None
 
     The rest of the cycle is a path from `current` back to `start` through
     unvisited vertices.  A branch is cut when no such path can exist: a
-    missing required vertex has < 2 neighbors among the unvisited vertices,
-    `start` and `current`, or the vertices reachable from `current` through
-    unvisited ones miss a required vertex or every neighbor of `start`.
-    Both cuts are sound, so the first cycle found does not depend on them.
+    missing required vertex has < 2 usable neighbors (unvisited, `start`,
+    `current`), or the vertices reachable from `current` through unvisited
+    ones miss a required vertex or every neighbor of `start`.  Off the root
+    (where `start` has two free places), a missing vertex whose two usable
+    neighbors include `current` must come next, so it is the only child
+    tried and a second one ends the branch (Rubin, J. ACM 1974).  The cuts
+    drop only branches with no cycle and keep the order of the rest, so
+    the first cycle found stays the same.
     """
     adj = g.adj
     full = g.full_mask()
@@ -91,13 +95,19 @@ def _cycle_search(g: Graph, start: int, req_mask: int) -> tuple[int, ...] | None
         unvisited = full & ~visited
         here = 1 << current
         usable = unvisited | here | (1 << start)
+        forced = 0
         for v in iter_bits(missing):
-            if (adj[v] & usable).bit_count() < 2:
+            near = adj[v] & usable
+            if near.bit_count() < 2:
                 return False
+            if near.bit_count() == 2 and near & here and current != start:
+                if forced:
+                    return False  # two vertices would both have to follow current
+                forced = 1 << v
         reach = g.reachable_from(here, unvisited | here)
         if missing & ~reach or not reach & adj[start]:
             return False
-        for w in iter_bits(adj[current] & unvisited):
+        for w in iter_bits((forced or adj[current]) & unvisited):
             path.append(w)
             if extend(w, visited | (1 << w)):
                 return True

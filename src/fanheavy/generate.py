@@ -97,10 +97,10 @@ def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> lis
     return cells
 
 
-def _canonical_search(adj: tuple[int, ...]) -> tuple[int, list[list[int]]]:
+def _canonical_search(adj: tuple[int, ...], images: bool = True) -> tuple[int, list[list[int]]]:
     """`canonical_form` of the graph with rows `adj`, and the automorphisms
-    its search met, as lists of vertex images: maps between leaves of equal
-    certificate, and the swap of each twin with its nearest lower twin."""
+    its search met if `images`, as lists of vertex images: maps between
+    leaves of equal certificate, and each twin's swap with its nearest lower twin."""
     n = len(adj)
     best = 0
     best_order: list[int] = []
@@ -127,7 +127,7 @@ def _canonical_search(adj: tuple[int, ...]) -> tuple[int, list[list[int]]]:
                 cert = (cert << n) | row
             if cert > best:
                 best, best_order = cert, cells
-            elif cert == best:
+            elif cert == best and images:
                 image = [0] * n
                 for b, c in zip(best_order, cells):
                     image[b.bit_length() - 1] = c.bit_length() - 1
@@ -154,7 +154,7 @@ def _canonical_search(adj: tuple[int, ...]) -> tuple[int, list[list[int]]]:
 
     everything = (1 << n) - 1
     search(_refine(adj, [everything] if n else [], [everything]))
-    for u, v in map(iter_bits, twins):
+    for u, v in map(iter_bits, twins if images else ()):
         image = list(range(n))
         image[u], image[v] = v, u
         automorphisms.append(image)
@@ -182,7 +182,7 @@ def canonical_form(g: Graph) -> int:
     order onto its own, an automorphism; `nonisomorphic_graphs` skips
     neighbourhoods by these maps and by the swaps of the pruned twins.
     """
-    return _canonical_search(g.adj)[0]
+    return _canonical_search(g.adj, images=False)[0]
 
 
 def nonisomorphic_graphs(n: int) -> list[Graph]:

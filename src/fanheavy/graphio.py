@@ -6,11 +6,14 @@ x(0,3), ... packed big-endian 6 bits per character, each character +63.
 The codec holds that stream as one int: pair (r, c) with r < c is bit
 c(c-1)/2 + r, so column c is the c bits from c(c-1)/2 up.
 Only the single-byte size tier is implemented.  A line may start with the
-optional `>>graph6<<` header.
+optional `>>graph6<<` header.  Whitespace is `string.whitespace` (not
+"\x1c"-"\x1f" or "\x85"), only "\n" ends a line, and digits are ASCII.
 """
 
 from __future__ import annotations
 
+import re
+import string
 from typing import Iterable, Iterator
 
 from .graph import Graph
@@ -20,6 +23,8 @@ GRAPH6_MAX_N = 62
 GRAPH6_HEADER = ">>graph6<<"
 # a character holds its first stream bit on top: _REVERSED6[v] is v's 6 bits reversed
 _REVERSED6 = tuple(int(f"{v:06b}"[::-1], 2) for v in range(64))
+_FIELD = re.compile(f"[^{string.whitespace}]+")
+_INTEGER = re.compile("-?[0-9]+")
 
 
 class GraphFormatError(ValueError):
@@ -37,7 +42,7 @@ def encode_graph6(g: Graph) -> str:
 
 
 def decode_graph6(line: str) -> Graph:
-    s = line.strip()
+    s = line.strip(string.whitespace)
     if s.startswith(GRAPH6_HEADER):
         s = s[len(GRAPH6_HEADER):]
     if not s:
@@ -72,18 +77,21 @@ def decode_graph6(line: str) -> Graph:
 # -- edge-list text format ----------------------------------------------
 # First line "n m", then m lines "u v"; n <= GRAPH6_MAX_N, as for graph6.
 
+def line_fields(text: str) -> list[tuple[int, list[str]]]:
+    """(1-based physical line number, fields) of each non-blank line."""
+    return [(i, fs) for i, line in enumerate(text.split("\n"), 1) if (fs := _FIELD.findall(line))]
+
+
 def decode_edge_list(text: str) -> Graph:
-    # (physical 1-based line number, fields) of each non-empty line
-    lines = [(i, ln.split()) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    lines = line_fields(text)
     if not lines:
         raise GraphFormatError("empty edge-list input")
     head_no, head = lines[0]
     if len(head) != 2:
         raise GraphFormatError(f"line {head_no}: expected header 'n m'")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
+    if not all(map(_INTEGER.fullmatch, head)):
         raise GraphFormatError(f"line {head_no}: expected integer header 'n m'")
+    n, m = map(int, head)
     if n > GRAPH6_MAX_N:
         # the graph6 limit, checked before any row is allocated
         raise GraphFormatError(f"line {head_no}: n={n} exceeds the supported n <= {GRAPH6_MAX_N}")
@@ -93,10 +101,9 @@ def decode_edge_list(text: str) -> Graph:
     for i, parts in lines[1:]:
         if len(parts) != 2:
             raise GraphFormatError(f"line {i}: expected edge 'u v'")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
+        if not all(map(_INTEGER.fullmatch, parts)):
             raise GraphFormatError(f"line {i}: expected integer edge 'u v'")
+        u, v = map(int, parts)
         if frozenset((u, v)) in edges:
             raise GraphFormatError(f"line {i}: repeated edge ({u},{v})")
         edges[frozenset((u, v))] = (u, v)
@@ -110,7 +117,7 @@ def read_corpus(lines: Iterable[str], errors: list[tuple[int, str]]) -> Iterator
     message) and skipped; streaming continues.
     """
     for line_no, raw in enumerate(lines, start=1):
-        s = raw.strip()
+        s = raw.strip(string.whitespace)
         if not s:
             continue
         try:

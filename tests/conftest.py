@@ -6,7 +6,7 @@ from pathlib import Path
 import networkx as nx
 import pytest
 
-from fanheavy.cycles import make_o_cycle
+from fanheavy.cycles import make_o_cycle, normalize_cycle
 from fanheavy.graph import Graph, path_graph
 from fanheavy.graphio import decode_graph6, encode_graph6
 from fanheavy.patterns import Pattern
@@ -96,6 +96,33 @@ def hamiltonian_brute_force(g: Graph) -> bool:
         if all((g.adj[seq[i]] >> seq[(i + 1) % n]) & 1 for i in range(n)):
             return True
     return False
+
+
+def first_cycle_dfs(g: Graph, required) -> tuple[int, ...] | None:
+    """The first cycle through `required` in plain DFS order, with no cut:
+    the path starts where the solvers start it (the least required vertex,
+    or with none each vertex in turn), tries neighbours in ascending order,
+    and closes as soon as it holds every required vertex, at least 3
+    vertices and an edge back to its start."""
+    req = set(required)
+
+    def dfs(path: list[int]) -> bool:
+        current = path[-1]
+        if req <= set(path) and len(path) >= 3 and g.adj[current] >> path[0] & 1:
+            return True
+        for w in range(g.n):
+            if g.adj[current] >> w & 1 and w not in path:
+                path.append(w)
+                if dfs(path):
+                    return True
+                path.pop()
+        return False
+
+    for start in sorted(req)[:1] or range(g.n):
+        path = [start]
+        if dfs(path):
+            return normalize_cycle(path)
+    return None
 
 
 # custom patterns with large automorphism groups, beyond the catalog

@@ -61,6 +61,15 @@ def test_check_malformed_exit2(tmp_path, capsys):
     assert err == "error: character '!' outside graph6 range 63..126\n"
 
 
+@pytest.mark.parametrize("text", ["C~\x1f\n", "\x1cC~\n"])
+def test_check_rejects_unicode_only_whitespace_exit2(tmp_path, capsys, text):
+    path = tmp_path / "k4.g6"
+    path.write_text(text)
+    code, out, err = run(capsys, "check", str(path), "--condition", "fan")
+    assert code == 2 and out == ""
+    assert err.startswith("error: character ") and err.count("\n") == 1
+
+
 def write_nx_g6(tmp_path, name, *graphs):
     """graph6 file as networkx writes it with header=True: the header
     prefixes the first line."""

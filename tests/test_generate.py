@@ -77,9 +77,9 @@ def test_automorphism_skip_saves_canonical_searches(monkeypatch):
     calls = []
     search = generate._canonical_search
 
-    def counted(adj):
+    def counted(adj, **kwargs):
         calls.append(adj)
-        return search(adj)
+        return search(adj, **kwargs)
 
     monkeypatch.setattr(generate, "_canonical_search", counted)
     assert len(nonisomorphic_graphs(7)) == GRAPH_COUNTS[7]

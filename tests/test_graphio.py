@@ -14,6 +14,7 @@ def test_decode_known_lines():
     assert decode_graph6("@") == Graph(1)
     assert decode_graph6("A_") == complete_graph(2)
     assert decode_graph6("C~") == complete_graph(4)
+    assert decode_graph6("C~\r\n") == decode_graph6(" C~\t") == complete_graph(4)
 
 
 def test_decode_strips_header():
@@ -66,6 +67,16 @@ def test_decode_rejects_bad_input():
             decode_graph6(line)
 
 
+# str.strip() and str.split() take "\x1c"-"\x1f" and "\x85" for whitespace
+@pytest.mark.parametrize("line", ["C~\x1f", "C~\x85", "\x1cC~"])
+def test_decode_rejects_unicode_only_whitespace(line):
+    with pytest.raises(GraphFormatError, match="outside graph6 range 63..126"):
+        decode_graph6(line)
+    errors = []
+    assert list(read_corpus([line], errors)) == []
+    assert [ln for ln, _ in errors] == [1]
+
+
 def test_encode_rejects_oversize():
     with pytest.raises(GraphFormatError):
         encode_graph6(Graph(63))
@@ -89,6 +100,18 @@ def test_edge_list_errors_carry_line_numbers():
         decode_edge_list("\n\nbogus header")
 
 
+# str.split() takes "\x1f" for whitespace, str.splitlines() takes "\u2028"
+# for a line break, and int() takes the Arabic-Indic digit one
+@pytest.mark.parametrize("text, message", [
+    ("2 1\n0\x1f1", "line 2: expected edge 'u v'"),
+    ("2 1\n0 \u0661", "line 2: expected integer edge 'u v'"),
+    ("2 1\u20280 1", "line 1: expected header 'n m'"),
+])
+def test_edge_list_rejects_unicode_only_whitespace_and_digits(text, message):
+    with pytest.raises(GraphFormatError, match=message):
+        decode_edge_list(text)
+
+
 def test_edge_list_rejects_repeated_edges():
     # a repeat in either direction would merge into fewer edges than the header
     for text, message in (("3 2\n0 1\n1 0\n", "line 3: repeated edge \\(1,0\\)"),
@@ -107,7 +130,7 @@ def test_read_corpus_in_order():
 def test_read_corpus_empty_and_blank_lines():
     errors = []
     assert list(read_corpus([], errors)) == []
-    assert [g.n for g in read_corpus(["", "C~", "  "], errors)] == [4]
+    assert [g.n for g in read_corpus(["", "C~", "  ", " C~\r\n"], errors)] == [4, 4]
     assert errors == []
 
 
