@@ -5,18 +5,17 @@ The labeled enumerator walks every upper-triangle bitmask, so it is exact
 but exponential; it is the ground-truth corpus for n <= 6-7.  For larger
 n the representative corpus (one graph per isomorphism class) verifies the
 same isomorphism-invariant statements at a fraction of the cost.  It is
-built by vertex augmentation and deduplicated on `canonical_form`, a
+built by vertex augmentation along McKay's canonical construction path,
+which keeps each class exactly once with no memory of earlier output.
+Its orbit tests use the automorphisms met by `canonical_form`, a
 refine-and-individualize canonical labeling in the style of nauty (McKay
 and Piperno, "Practical graph isomorphism II", 2014): two graphs are
-isomorphic exactly when their forms are equal, so a set of forms replaces
-pairwise isomorphism tests.  The automorphisms that labeling meets (twin
-swaps included), and the degree multisets of the one-vertex deletions, let
-the augmentation skip candidates that an earlier one already covers.
+isomorphic exactly when their forms are equal.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Iterator
 
 from .graph import Graph, iter_bits
@@ -42,7 +41,8 @@ def refinement_key(g: Graph) -> tuple:
 
     Colors start as degrees; each round replaces a color with its rank in
     the sorted list of (color, sorted neighbor colors) signatures, which
-    is canonical across isomorphic graphs.
+    is canonical across isomorphic graphs.  Generation does not use it;
+    the tests and the benchmark's trace of this module still name it.
     """
     nbrs = [list(iter_bits(row)) for row in g.adj]
     colors = [len(ws) for ws in nbrs]
@@ -97,10 +97,12 @@ def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> lis
     return cells
 
 
-def _canonical_search(adj: tuple[int, ...], images: bool = True) -> tuple[int, list[list[int]]]:
-    """`canonical_form` of the graph with rows `adj`, and the automorphisms
-    its search met if `images`, as lists of vertex images: maps between
-    leaves of equal certificate, and each twin's swap with its nearest lower twin."""
+def _canonical_search(adj: tuple[int, ...], images: bool = True
+                      ) -> tuple[int, list[list[int]], list[int]]:
+    """`canonical_form` of the graph with rows `adj`; the automorphisms its
+    search met if `images`, as lists of vertex images: maps between leaves
+    of equal certificate, and each twin's swap with its nearest lower twin;
+    and the vertex order of the best leaf."""
     n = len(adj)
     best = 0
     best_order: list[int] = []
@@ -158,7 +160,7 @@ def _canonical_search(adj: tuple[int, ...], images: bool = True) -> tuple[int, l
         image = list(range(n))
         image[u], image[v] = v, u
         automorphisms.append(image)
-    return best, automorphisms
+    return best, automorphisms, [c.bit_length() - 1 for c in best_order]
 
 
 def canonical_form(g: Graph) -> int:
@@ -179,82 +181,98 @@ def canonical_form(g: Graph) -> int:
     Other symmetry is not pruned: k disjoint triangles still search k!
     branches, which is cheap for the n <= 9 corpora.  But a leaf whose
     certificate equals the best one so far maps the best leaf's vertex
-    order onto its own, an automorphism; `nonisomorphic_graphs` skips
-    neighbourhoods by these maps and by the swaps of the pruned twins.
+    order onto its own, an automorphism; with the swaps of the pruned
+    twins these maps generate the automorphism group, which
+    `nonisomorphic_graphs` uses for its orbit tests.
     """
     return _canonical_search(g.adj, images=False)[0]
 
 
-def nonisomorphic_graphs(n: int) -> list[Graph]:
-    """One representative per isomorphism class of graphs on n vertices.
+def _is_canonical_deletion(rows: list[int], ties: int) -> bool:
+    """Whether the last vertex x of the graph with rows `rows` lies in the
+    automorphism orbit of its canonical deletion vertex m: among the
+    vertices of least degree (`ties`, x among them), those of least sum
+    of neighbour degrees, and of these the first in the best leaf order
+    of `_canonical_search`."""
+    x = len(rows) - 1
+    degrees = [row.bit_count() for row in rows]
+    sums = {v: sum(degrees[w] for w in iter_bits(rows[v])) for v in iter_bits(ties)}
+    low = min(sums.values())
+    if sums[x] > low:
+        return False
+    tied = [v for v, s in sums.items() if s == low]
+    if len(tied) == 1:
+        return True
+    _, automorphisms, order = _canonical_search(tuple(rows))
+    orbit, grown = 0, 1 << next(v for v in order if v in tied)
+    while grown != orbit:
+        orbit = grown
+        for image in automorphisms:
+            for v in iter_bits(orbit):
+                grown |= 1 << image[v]
+    return orbit >> x & 1 == 1
 
-    Built by augmenting the (n-1)-vertex representatives with every
-    possible neighborhood for a new vertex, in increasing bitmask order; a
-    candidate is kept when its `canonical_form` is new.  A neighborhood S
-    is skipped, without a form, when a known automorphism s of the base
-    gives s(S) < S as bitmasks: the candidate is isomorphic to the one for
-    s(S), which came earlier.  The known automorphisms are those that
-    `_canonical_search` returns for the base, twin swaps included.  A
-    candidate G' = B_i + x is also skipped when, for some old vertex v,
-    every base with the degree multiset of G' - v comes before B_i: G' - v
-    is isomorphic to some B_j with j < i, so G' is isomorphic to a
-    candidate of B_j, which came earlier (McKay, "Isomorph-free exhaustive
-    generation", 1998).  So the form of a skipped candidate is already in
-    `seen`.  The first candidate of each class is never skipped: it is the
-    least of its orbit, and it sits at the earliest base that one vertex
-    deletion reaches from the class.  So the kept list is the same as
-    without the skips.  The kept graphs are grouped by `refinement_key`
-    (buckets in order of first appearance), which fixes the order of the
-    output: `tests/data/graphs8_reduced.g6` is this list for n = 8.
+
+def nonisomorphic_graphs(n: int) -> list[Graph]:
+    """One representative per isomorphism class of graphs on n vertices,
+    by McKay's canonical construction path ("Isomorph-free exhaustive
+    generation", J. Algorithms 1998), with no memory of earlier output.
+
+    Each (n-1)-vertex representative B gets a new vertex x = n - 1 whose
+    neighbourhood S runs up in bitmask order; the output is in that order,
+    base by base.  G' = B + x is kept when (a) S is the least bitmask of
+    its orbit under Aut(B), and (b) x lies in the Aut(G')-orbit of the
+    canonical deletion vertex m(G') (`_is_canonical_deletion`).  The orbit
+    of m(G') is an isomorphism invariant, since an isomorphism maps the
+    best leaf order of one graph onto that of the other up to an
+    automorphism.  So each class is kept once.  For a graph H of the class,
+    H - m(H) is isomorphic to one base B, which maps N(m(H)) into one
+    orbit with least member S, and B + S passes (a) and (b).  If kept
+    graphs B + x and B' + x' are isomorphic, by (b) some isomorphism takes
+    x to x', so B = B' and S, S' share an orbit; by (a) S = S'.
+
+    Both orbit tests close over the automorphisms `_canonical_search`
+    returns, which generate the whole group: every other leaf with the
+    best certificate comes after the best leaf, or an earlier one would be
+    the best, so it gives a returned map, and each subtree the search
+    prunes is the image of a searched one under a returned twin swap.
+    Degrees decide most candidates; a tie for m(G') costs one search.
     """
     if n == 0:
         return [Graph(0)]
-    seen: set[int] = set()
-    reps: dict[tuple, list[Graph]] = {}
+    out = []
     last = 1 << (n - 1)
-    bases = nonisomorphic_graphs(n - 1)
-    # a degree multiset as one int, the sum of 1 << w*d over the degrees d;
-    # a w-bit field holds any count up to n, so the sum never carries
-    w = n.bit_length()
-    latest = {sum(1 << w * row.bit_count() for row in b.adj): i for i, b in enumerate(bases)}
-    for i, base in enumerate(bases):
+    for base in nonisomorphic_graphs(n - 1):
         adj = base.adj
-        # images[S] is the image of the neighbourhood S, built one vertex at
-        # a time, and least[S] the least image under a known automorphism
-        least = list(range(last))
+        # at[d] is the mask of base vertices of degree d, below[d] of degree < d
+        at = [0] * (n + 1)
+        for v, row in enumerate(adj):
+            at[row.bit_count()] |= 1 << v
+        below = list(accumulate(at, int.__or__, initial=0))
+        # tables[i][S] is the image of the neighbourhood S under the i-th
+        # automorphism, built one vertex at a time; least[S] is relaxed
+        # over the tables until it is the orbit minimum
+        tables = []
         for image in _canonical_search(adj)[1]:
-            images = [0]
+            table = [0]
             for v in range(n - 1):
                 bit = 1 << image[v]
-                images += [m | bit for m in images]
-            least = list(map(min, least, images))
+                table += [m | bit for m in table]
+            tables.append(table)
+        least, settled = list(range(last)), None
+        while least != settled:
+            settled = least
+            for table in tables:
+                least = list(map(min, least, map(least.__getitem__, table)))
         for nbhd in range(last):
-            if least[nbhd] < nbhd:
+            k = nbhd.bit_count()
+            # x has degree k; a neighbour of x gains one
+            if least[nbhd] < nbhd or below[k] & ~nbhd or below[k - 1] & nbhd:
                 continue
             rows = list(adj) + [nbhd]
-            rest = nbhd
-            while rest:
-                low = rest & -rest
-                rows[low.bit_length() - 1] |= last
-                rest ^= low
-            # the key of g - v: v's term goes, each neighbour's degree drops;
-            # the last old vertex first, which finds a skip sooner on average
-            terms = [1 << w * row.bit_count() for row in rows]
-            drops = [t - (t >> w) for t in terms]
-            total = sum(terms)
-            for v in range(n - 2, -1, -1):
-                key = total - terms[v]
-                rest = rows[v]
-                while rest:
-                    low = rest & -rest
-                    key -= drops[low.bit_length() - 1]
-                    rest ^= low
-                if latest[key] < i:
-                    break
-            else:
-                g = Graph.from_rows(tuple(rows))
-                form = canonical_form(g)
-                if form not in seen:
-                    seen.add(form)
-                    reps.setdefault(refinement_key(g), []).append(g)
-    return [g for bucket in reps.values() for g in bucket]
+            for v in iter_bits(nbhd):
+                rows[v] |= last
+            ties = at[k] & ~nbhd | at[k - 1] & nbhd
+            if not ties or _is_canonical_deletion(rows, ties | last):
+                out.append(Graph.from_rows(tuple(rows)))
+    return out

@@ -159,6 +159,22 @@ def _reps(n: int) -> tuple[Graph, ...]:
     return graphs
 
 
+@functools.cache
+def pinned_hosts() -> tuple[Graph, ...]:
+    """Every class with 1 <= n <= 7, each once, labelled and ordered as
+    `tests/data/hosts_1_to_7.g6` fixes them (the output of the generator
+    that kept a candidate when its canonical form was new).  Witnesses
+    name vertices, so digests of them are pinned on these graphs, not on
+    the current generator's labels."""
+    from fanheavy.generate import canonical_form
+    lines = (DATA / "hosts_1_to_7.g6").read_text().splitlines()
+    graphs = tuple(decode_graph6(s) for s in lines)
+    assert [sum(g.n == n for g in graphs) for n in range(1, 8)] == [
+        GRAPH_COUNTS[n] for n in range(1, 8)]
+    assert len({canonical_form(g) for g in graphs}) == len(graphs)
+    return graphs
+
+
 @pytest.fixture(scope="session")
 def reps7() -> tuple[Graph, ...]:
     return _reps(7)
@@ -184,7 +200,7 @@ def reduced_9() -> Path:
     """The file of all 274668 classes with n = 9, one graph6 line each:
     the file that FANHEAVY_N9_CORPUS names or else
     tests/data/graphs9_reduced.g6.  A missing file is generated once and
-    written first (65-90 s); it is gitignored test data, not part
+    written first (about 10 s); it is gitignored test data, not part
     of the repository."""
     path = Path(os.environ.get("FANHEAVY_N9_CORPUS") or DATA / "graphs9_reduced.g6")
     if not path.exists():

@@ -18,7 +18,8 @@ from fanheavy.cycles import find_hamilton_cycle
 from fanheavy.graphio import decode_graph6, encode_graph6
 from fanheavy.patterns import _search_plan, pattern
 
-from conftest import _reps, complete_graph, cycle_graph, k23, petersen, random_graph
+from conftest import (_reps, complete_graph, cycle_graph, k23, petersen, pinned_hosts,
+                      random_graph)
 
 
 def run(capsys, *argv):
@@ -179,6 +180,15 @@ def test_check_refuses_empty_pattern_entries(tmp_path, capsys, spec):
     assert err == f"error: empty entry in pattern list {spec!r}\n"
 
 
+@pytest.mark.parametrize("spec", ["claw\x1f,p7", "claw,\x85p7", "\u3000claw"])
+def test_check_refuses_unicode_only_whitespace_in_patterns(tmp_path, capsys, spec):
+    # entries are stripped of ASCII whitespace only, like the graph readers
+    path = write_g6(tmp_path, "k5.g6", complete_graph(5))
+    code, out, err = run(capsys, "check", path, "--condition", "f-heavy", "--patterns", spec)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unknown pattern") and "Traceback" not in err
+
+
 def test_check_custom_pattern_reports_first_light_copy(tmp_path, capsys):
     # K2 + P3 (`DCW`) has three vertex orbits, so the walk by smallest
     # vertex runs three kernels per start; its first light copy misses 0
@@ -324,7 +334,8 @@ def test_verify_workers_match_serial(tmp_path, capsys):
         assert [e["line"] for e in s1["parse_errors"]] == [8]
 
 
-@pytest.mark.parametrize("workers", ["0", "-3"])
+# the last three are decimal digits outside ASCII, which `int` would read
+@pytest.mark.parametrize("workers", ["0", "-3", "\u0661", "\uff12", "2\u0662"])
 def test_verify_rejects_nonpositive_workers(tmp_path, capsys, monkeypatch, workers):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
@@ -533,7 +544,7 @@ def test_json_documents_are_pinned():
     # print: every condition, with the default patterns and a custom
     # graph6 one (C5), on every class with n <= 7 and seeded random hosts
     rng = random.Random(15)
-    hosts = [g for n in range(1, 8) for g in _reps(n)]
+    hosts = list(pinned_hosts())
     hosts += [random_graph(rng, rng.randint(4, 12), rng.random()) for _ in range(200)]
     digest = hashlib.sha256()
     for g in hosts:

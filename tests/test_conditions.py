@@ -15,7 +15,7 @@ from fanheavy.patterns import (CATALOG_NAMES, Pattern, _induced_copies, enumerat
                                has_induced_copy, pattern, path_graph as _pg)
 
 from conftest import (SYMMETRIC_PATTERNS, _reps, complete_graph, cycle_graph, edge_list, k23,
-                      random_graph, to_nx)
+                      pinned_hosts, random_graph, to_nx)
 
 
 def test_copy_is_f_heavy_examples():
@@ -326,7 +326,7 @@ def test_search_results_are_pinned():
     # so this digest pins the default search order (and with it the thm4
     # forbidden-copy witnesses) as well as the f-heavy and theorem reports.
     rng = random.Random(2026)
-    hosts = [g for n in range(1, 8) for g in _reps(n)]
+    hosts = list(pinned_hosts())
     hosts += [random_graph(rng, rng.randint(4, 13), rng.random()) for _ in range(300)]
     digest = hashlib.sha256()
     for g in hosts:

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 
 import networkx as nx
@@ -8,7 +9,7 @@ from fanheavy import generate
 from fanheavy.generate import (canonical_form, labeled_graphs,
                                nonisomorphic_graphs, refinement_key)
 from fanheavy.graph import Graph, iter_bits
-from fanheavy.graphio import encode_graph6
+from fanheavy.graphio import decode_graph6, encode_graph6
 from fanheavy.patterns import is_isomorphic_small
 
 from conftest import (DATA, GRAPH_COUNTS, TWO_CONNECTED_COUNTS, complete_graph,
@@ -35,45 +36,55 @@ def test_nonisomorphic_7_output_is_pinned():
     # `gen --n 7 --reduce` stdout; a change in output order changes it
     text = "\n".join(encode_graph6(g) for g in nonisomorphic_graphs(7)) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "dcabbf661381ec912d5f9629d91dd6f615570ecb705c974decb066ddf7533bd8")
+        "d0e4a19fccc3afdefe0700aeadc1e4eccb213f661267832ca8fbe5d8f9172869")
+
+
+def forms(graphs) -> set[int]:
+    return {canonical_form(g) for g in graphs}
 
 
 def test_regenerate_8_vertex_fixture_matches():
-    # the checked-in corpus is exactly what the generator produces
+    # the checked-in corpus holds the classes the generator produces, each
+    # once; the generator labels them differently
     reps = nonisomorphic_graphs(8)
-    assert len(reps) == GRAPH_COUNTS[8]
-    expected = (DATA / "graphs8_reduced.g6").read_text().splitlines()
-    assert [encode_graph6(g) for g in reps] == expected
+    assert len(forms(reps)) == len(reps) == GRAPH_COUNTS[8]
+    fixture = (DATA / "graphs8_reduced.g6").read_text().splitlines()
+    assert sorted(forms(reps)) == sorted(canonical_form(decode_graph6(s)) for s in fixture)
 
 
 def unpruned_nonisomorphic_graphs(n: int) -> list[Graph]:
-    # every neighbourhood of every base gets a form, no twin skip
+    # every neighbourhood of every base gets a form, which is kept when new
     if n == 0:
         return [Graph(0)]
-    seen, reps = set(), {}
+    seen, reps = set(), []
     for base in unpruned_nonisomorphic_graphs(n - 1):
         for nbhd in range(1 << (n - 1)):
             edges = edge_list(base) + [(v, n - 1) for v in range(n - 1) if nbhd >> v & 1]
             g = Graph(n, edges)
             if canonical_form(g) not in seen:
                 seen.add(canonical_form(g))
-                reps.setdefault(refinement_key(g), []).append(g)
-    return [g for bucket in reps.values() for g in bucket]
+                reps.append(g)
+    return reps
 
 
 def test_twin_skip_keeps_the_unpruned_output():
     for n in range(0, 7):
-        assert nonisomorphic_graphs(n) == unpruned_nonisomorphic_graphs(n)
+        reps = nonisomorphic_graphs(n)
+        assert len(forms(reps)) == len(reps)
+        assert forms(reps) == forms(unpruned_nonisomorphic_graphs(n))
 
 
 def test_automorphism_skip_keeps_the_unpruned_output_at_7():
-    assert nonisomorphic_graphs(7) == unpruned_nonisomorphic_graphs(7)
+    reps = nonisomorphic_graphs(7)
+    assert len(forms(reps)) == len(reps)
+    assert forms(reps) == forms(unpruned_nonisomorphic_graphs(7))
 
 
 def test_automorphism_skip_saves_canonical_searches(monkeypatch):
-    # one search per base for its automorphisms and one per candidate that
-    # neither the automorphism skip nor the vertex-deletion skip drops.
-    # The twin skip alone made 7195, and the automorphism skip 5968.
+    # one search per base for its automorphisms and one per candidate whose
+    # canonical deletion vertex degrees and neighbour-degree sums leave
+    # open.  Kept by a new canonical form, the twin skip alone made 7195,
+    # the automorphism skip 5968 and the vertex-deletion skip 2052.
     calls = []
     search = generate._canonical_search
 
@@ -83,7 +94,7 @@ def test_automorphism_skip_saves_canonical_searches(monkeypatch):
 
     monkeypatch.setattr(generate, "_canonical_search", counted)
     assert len(nonisomorphic_graphs(7)) == GRAPH_COUNTS[7]
-    assert len(calls) == 2052
+    assert len(calls) == 720
 
 
 def reference_refinement_key(g: Graph) -> tuple:
@@ -101,6 +112,52 @@ def test_refinement_key_matches_reference():
     for _ in range(500):
         g = random_graph(rng, rng.randint(0, 16))
         assert refinement_key(g) == reference_refinement_key(g)
+
+
+def automorphism_count(g: Graph) -> int:
+    """|Aut(g)| by backtracking: map the vertices in order, each to an
+    unused vertex whose adjacency to the images so far matches."""
+    def extend(image: list[int]) -> int:
+        v = len(image)
+        if v == g.n:
+            return 1
+        return sum(extend(image + [w]) for w in range(g.n)
+                   if w not in image and g.adj[w].bit_count() == g.adj[v].bit_count()
+                   and all((g.adj[v] >> u & 1) == (g.adj[w] >> image[u] & 1)
+                           for u in range(v)))
+    return extend([])
+
+
+def generated_group(g: Graph) -> set[tuple[int, ...]]:
+    """The group the search's automorphisms generate, closed by BFS."""
+    generators = [tuple(image) for image in generate._canonical_search(g.adj)[1]]
+    group = {tuple(range(g.n))}
+    frontier = list(group)
+    while frontier:
+        element = frontier.pop()
+        for image in generators:
+            composed = tuple(image[v] for v in element)
+            if composed not in group:
+                group.add(composed)
+                frontier.append(composed)
+    return group
+
+
+def test_search_automorphisms_generate_the_group():
+    # the generator's orbit tests are exact only if the returned
+    # automorphisms generate all of Aut(G)
+    for n in range(0, 8):
+        for g in nonisomorphic_graphs(n):
+            assert len(generated_group(g)) == automorphism_count(g), encode_graph6(g)
+
+
+def test_class_masses_sum_to_the_labelled_count():
+    # a class with automorphism group A holds n!/|A| labelled graphs, so
+    # the classes are all there, each once, only if the masses add up
+    for n in range(0, 8):
+        mass = sum(math.factorial(n) // len(generated_group(g))
+                   for g in nonisomorphic_graphs(n))
+        assert mass == 1 << (n * (n - 1) // 2)
 
 
 def test_two_connected_counts_match_known_sequence():
@@ -163,9 +220,16 @@ def test_canonical_form_agrees_with_isomorphism_test():
 
 def automorphisms_hold(g: Graph) -> int:
     """Check by the definition every automorphism the canonical search
-    returns, and count them."""
-    form, automorphisms = generate._canonical_search(g.adj)
+    returns, and the best leaf order against the form; count the
+    automorphisms."""
+    form, automorphisms, order = generate._canonical_search(g.adj)
     assert form == canonical_form(g)
+    assert sorted(order) == list(range(g.n))
+    pos = {v: i for i, v in enumerate(order)}
+    cert = 1
+    for v in order:
+        cert = cert << g.n | sum(1 << pos[w] for w in iter_bits(g.adj[v]))
+    assert cert == form
     for image in automorphisms:
         assert sorted(image) == list(range(g.n))
         for v in range(g.n):
