@@ -219,15 +219,13 @@ def cmd_witness(args) -> int:
 
 # Largest n per mode: the labeled walk visits 2^(n(n-1)/2) masks (2^21 at
 # n = 7), and the reduced corpus holds 274668 classes at n = 9 (about
-# 10 s and 80 MB to generate) but 12005168 at n = 10, which
+# 7 s and 80 MB to generate) but 12005168 at n = 10, which
 # `nonisomorphic_graphs` would hold in memory as one list.
 GEN_MAX_N_LABELED = 7
 GEN_MAX_N_REDUCED = 9
 
 
 def cmd_gen(args) -> int:
-    if args.n < 1:
-        raise ValueError("n must be >= 1")
     limit = GEN_MAX_N_REDUCED if args.reduce else GEN_MAX_N_LABELED
     if args.n > limit:
         mode = "with" if args.reduce else "without"
@@ -277,12 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_hunt)
 
     p = sub.add_parser("witness", help="emit the separating construction")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--emit", default="report", choices=("graph6", "report"))
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("gen", help="emit a small-graph corpus as graph6")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--two-connected", action="store_true")
     p.add_argument("--reduce", action="store_true",
                    help="one representative per isomorphism class")

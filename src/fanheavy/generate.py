@@ -97,12 +97,13 @@ def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> lis
     return cells
 
 
-def _canonical_search(adj: tuple[int, ...], images: bool = True
+def _canonical_search(adj: tuple[int, ...], images: bool = True,
+                      root: list[int] | None = None
                       ) -> tuple[int, list[list[int]], list[int]]:
     """`canonical_form` of the graph with rows `adj`; the automorphisms its
     search met if `images`, as lists of vertex images: maps between leaves
     of equal certificate, and each twin's swap with its nearest lower twin;
-    and the vertex order of the best leaf."""
+    and the vertex order of the best leaf.  `root`, if given, is `_refine` of {V}."""
     n = len(adj)
     best = 0
     best_order: list[int] = []
@@ -155,7 +156,7 @@ def _canonical_search(adj: tuple[int, ...], images: bool = True
                 search(_refine(adj, cells[:t] + [low, x ^ low] + cells[t + 1:], [low]))
 
     everything = (1 << n) - 1
-    search(_refine(adj, [everything] if n else [], [everything]))
+    search(root or _refine(adj, [everything] if n else [], [everything]))
     for u, v in map(iter_bits, twins if images else ()):
         image = list(range(n))
         image[u], image[v] = v, u
@@ -189,28 +190,53 @@ def canonical_form(g: Graph) -> int:
 
 
 def _is_canonical_deletion(rows: list[int], ties: int) -> bool:
-    """Whether the last vertex x of the graph with rows `rows` lies in the
-    automorphism orbit of its canonical deletion vertex m: among the
+    """Whether the last vertex x of the graph G' with rows `rows` lies in
+    the automorphism orbit of its canonical deletion vertex m: among the
     vertices of least degree (`ties`, x among them), those of least sum
     of neighbour degrees, and of these the first in the best leaf order
-    of `_canonical_search`."""
+    of `_canonical_search`.
+
+    A tie goes to the equitable partition of G' the search starts from.
+    Its cells are unions of orbits (`_refine` never looks at labels) and
+    share degree and neighbour-degree sum, so tied vertices form whole
+    cells.  Cells split in place, so every leaf order lists them in order
+    and m, with its orbit, lies in the first tied cell: a search is needed
+    only when that cell holds x and more."""
     x = len(rows) - 1
     degrees = [row.bit_count() for row in rows]
     sums = {v: sum(degrees[w] for w in iter_bits(rows[v])) for v in iter_bits(ties)}
     low = min(sums.values())
-    if sums[x] > low:
-        return False
-    tied = [v for v, s in sums.items() if s == low]
-    if len(tied) == 1:
-        return True
-    _, automorphisms, order = _canonical_search(tuple(rows))
-    orbit, grown = 0, 1 << next(v for v in order if v in tied)
+    tied = sum(1 << v for v, s in sums.items() if s == low)
+    if not tied >> x & 1 or tied == 1 << x:
+        return tied == 1 << x
+    adj, everything = tuple(rows), (1 << len(rows)) - 1
+    cells = _refine(adj, [everything], [everything])
+    cell = next(c for c in cells if c & tied)
+    if not cell >> x & 1 or cell == 1 << x:
+        return cell == 1 << x
+    _, automorphisms, order = _canonical_search(adj, root=cells)
+    orbit, grown = 0, 1 << next(v for v in order if cell >> v & 1)
     while grown != orbit:
         orbit = grown
         for image in automorphisms:
             for v in iter_bits(orbit):
                 grown |= 1 << image[v]
     return orbit >> x & 1 == 1
+
+
+def _orbit_least(nbhd: int, tables: list[list[int]]) -> bool:
+    """Whether `nbhd` is the least of its orbit under the neighbourhood
+    maps `tables`, closing the orbit until an image falls below it."""
+    orbit, frontier = {nbhd}, [nbhd]
+    for s in frontier:
+        for table in tables:
+            image = table[s]
+            if image < nbhd:
+                return False
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
+    return True
 
 
 def nonisomorphic_graphs(n: int) -> list[Graph]:
@@ -236,7 +262,9 @@ def nonisomorphic_graphs(n: int) -> list[Graph]:
     best certificate comes after the best leaf, or an earlier one would be
     the best, so it gives a returned map, and each subtree the search
     prunes is the image of a searched one under a returned twin swap.
-    Degrees decide most candidates; a tie for m(G') costs one search.
+    (a) is decided, by `_orbit_least`, only for an S that leaves no vertex
+    below the degree of x, as (b) needs.  Degrees decide most candidates,
+    the equitable partition of G' most ties, and the rest cost a search.
     """
     if n == 0:
         return [Graph(0)]
@@ -250,8 +278,7 @@ def nonisomorphic_graphs(n: int) -> list[Graph]:
             at[row.bit_count()] |= 1 << v
         below = list(accumulate(at, int.__or__, initial=0))
         # tables[i][S] is the image of the neighbourhood S under the i-th
-        # automorphism, built one vertex at a time; least[S] is relaxed
-        # over the tables until it is the orbit minimum
+        # automorphism, built one vertex at a time
         tables = []
         for image in _canonical_search(adj)[1]:
             table = [0]
@@ -259,15 +286,10 @@ def nonisomorphic_graphs(n: int) -> list[Graph]:
                 bit = 1 << image[v]
                 table += [m | bit for m in table]
             tables.append(table)
-        least, settled = list(range(last)), None
-        while least != settled:
-            settled = least
-            for table in tables:
-                least = list(map(min, least, map(least.__getitem__, table)))
         for nbhd in range(last):
             k = nbhd.bit_count()
             # x has degree k; a neighbour of x gains one
-            if least[nbhd] < nbhd or below[k] & ~nbhd or below[k - 1] & nbhd:
+            if below[k] & ~nbhd or below[k - 1] & nbhd or not _orbit_least(nbhd, tables):
                 continue
             rows = list(adj) + [nbhd]
             for v in iter_bits(nbhd):

@@ -200,7 +200,7 @@ def reduced_9() -> Path:
     """The file of all 274668 classes with n = 9, one graph6 line each:
     the file that FANHEAVY_N9_CORPUS names or else
     tests/data/graphs9_reduced.g6.  A missing file is generated once and
-    written first (about 10 s); it is gitignored test data, not part
+    written first (about 7 s); it is gitignored test data, not part
     of the repository."""
     path = Path(os.environ.get("FANHEAVY_N9_CORPUS") or DATA / "graphs9_reduced.g6")
     if not path.exists():

@@ -468,6 +468,16 @@ def test_gen_size_guard_exit2(capsys, argv):
     assert err.startswith("error:")
 
 
+# Arabic-Indic three and fullwidth sixteen, decimal digits that `int` reads
+@pytest.mark.parametrize("argv", [("gen", "--n", "\u0663", "--reduce"),
+                                  ("witness", "--n", "\uff11\uff16", "--emit", "graph6")],
+                         ids=["gen", "witness"])
+def test_n_takes_only_ascii_digits(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage:") and f"--n: expected an integer >= 1, got '{argv[2]}'" in err
+
+
 def _run_cli_process(stdout, *argv):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}

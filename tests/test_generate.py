@@ -39,6 +39,14 @@ def test_nonisomorphic_7_output_is_pinned():
         "d0e4a19fccc3afdefe0700aeadc1e4eccb213f661267832ca8fbe5d8f9172869")
 
 
+def test_nonisomorphic_8_output_is_pinned():
+    # `gen --n 8 --reduce` stdout; the orbit and tie tests of the
+    # generator must keep it byte for byte
+    text = "".join(encode_graph6(g) + "\n" for g in nonisomorphic_graphs(8))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "4e570bc1d83cd534e4646f5891cff043c82cd19ced38d95730646a22d275cea8")
+
+
 def forms(graphs) -> set[int]:
     return {canonical_form(g) for g in graphs}
 
@@ -82,9 +90,11 @@ def test_automorphism_skip_keeps_the_unpruned_output_at_7():
 
 def test_automorphism_skip_saves_canonical_searches(monkeypatch):
     # one search per base for its automorphisms and one per candidate whose
-    # canonical deletion vertex degrees and neighbour-degree sums leave
-    # open.  Kept by a new canonical form, the twin skip alone made 7195,
-    # the automorphism skip 5968 and the vertex-deletion skip 2052.
+    # canonical deletion vertex degrees, neighbour-degree sums and the
+    # cells of the equitable partition leave open.  Kept by a new
+    # canonical form, the twin skip alone made 7195, the automorphism skip
+    # 5968 and the vertex-deletion skip 2052; with a search on every tie
+    # the canonical construction path made 720.
     calls = []
     search = generate._canonical_search
 
@@ -94,7 +104,7 @@ def test_automorphism_skip_saves_canonical_searches(monkeypatch):
 
     monkeypatch.setattr(generate, "_canonical_search", counted)
     assert len(nonisomorphic_graphs(7)) == GRAPH_COUNTS[7]
-    assert len(calls) == 720
+    assert len(calls) == 652
 
 
 def reference_refinement_key(g: Graph) -> tuple:
@@ -128,10 +138,10 @@ def automorphism_count(g: Graph) -> int:
     return extend([])
 
 
-def generated_group(g: Graph) -> set[tuple[int, ...]]:
-    """The group the search's automorphisms generate, closed by BFS."""
-    generators = [tuple(image) for image in generate._canonical_search(g.adj)[1]]
-    group = {tuple(range(g.n))}
+def group_closure(n: int, generators: list[list[int]]) -> set[tuple[int, ...]]:
+    """The permutation group on range(n) that `generators` generate, closed
+    by BFS."""
+    group = {tuple(range(n))}
     frontier = list(group)
     while frontier:
         element = frontier.pop()
@@ -141,6 +151,95 @@ def generated_group(g: Graph) -> set[tuple[int, ...]]:
                 group.add(composed)
                 frontier.append(composed)
     return group
+
+
+def generated_group(g: Graph) -> set[tuple[int, ...]]:
+    """The group the search's automorphisms generate."""
+    return group_closure(g.n, generate._canonical_search(g.adj)[1])
+
+
+def set_image(image, s: int) -> int:
+    return sum(1 << image[v] for v in iter_bits(s))
+
+
+def set_tables(n: int, images) -> list[list[int]]:
+    """The image of every vertex set under each permutation, indexed by
+    bitmask, as the generator tabulates its base automorphisms."""
+    return [[set_image(image, s) for s in range(1 << n)] for image in images]
+
+
+def orbit_cases():
+    """(n, permutations of range(n)) pairs for the orbit test: the
+    automorphisms the search returns for every base with n <= 6, then
+    generating sets too small to reach the orbit minimum in one step.  On
+    every base with n <= 8 the search returns so many automorphisms that
+    one step of each finds a smaller image if there is one; with one
+    rotation of a 6-cycle, or a rotation and a swap for the symmetric
+    group, only the closure does."""
+    for n in range(0, 7):
+        for base in nonisomorphic_graphs(n):
+            yield n, generate._canonical_search(base.adj)[1]
+    rotation = [1, 2, 3, 4, 5, 0]
+    yield 6, [rotation]
+    yield 6, [rotation, [1, 0, 2, 3, 4, 5]]
+
+
+def test_orbit_least_matches_the_group_orbit():
+    # the parent-side test against the orbit under the whole group
+    for n, generators in orbit_cases():
+        group = group_closure(n, generators)
+        tables = set_tables(n, generators)
+        for s in range(1 << n):
+            least = min(set_image(image, s) for image in group)
+            assert generate._orbit_least(s, tables) == (least == s), (generators, s)
+
+
+def full_search_deletion(rows: list[int], ties: int) -> bool:
+    """`_is_canonical_deletion` with no cell pre-test: a canonical search
+    on every tie, and the orbit of m from the whole group."""
+    x = len(rows) - 1
+    g = Graph.from_rows(tuple(rows))
+    sums = {v: sum(g.degree(w) for w in iter_bits(rows[v])) for v in iter_bits(ties)}
+    tied = {v for v, s in sums.items() if s == min(sums.values())}
+    order = generate._canonical_search(g.adj)[2]
+    m = next(v for v in order if v in tied)
+    return x in {image[m] for image in generated_group(g)}
+
+
+def test_cell_pretest_agrees_with_a_full_search(monkeypatch):
+    # every candidate with n <= 7 that passes the degree test and has a
+    # tie for the least degree; some reach the search, and the others are
+    # settled before it
+    searches = []
+    search = generate._canonical_search
+
+    def counted(adj, **kwargs):
+        searches.append(adj)
+        return search(adj, **kwargs)
+
+    outcomes = {True: 0, False: 0}
+    candidates = 0
+    for n in range(1, 8):
+        last = 1 << (n - 1)
+        for base in nonisomorphic_graphs(n - 1):
+            for nbhd in range(last):
+                rows = list(base.adj) + [nbhd]
+                for v in iter_bits(nbhd):
+                    rows[v] |= last
+                degrees = [row.bit_count() for row in rows]
+                if min(degrees) < degrees[-1]:
+                    continue
+                ties = sum(1 << v for v, d in enumerate(degrees) if d == degrees[-1])
+                if ties == last:
+                    continue
+                candidates += 1
+                with monkeypatch.context() as patch:
+                    patch.setattr(generate, "_canonical_search", counted)
+                    verdict = generate._is_canonical_deletion(rows, ties)
+                assert verdict == full_search_deletion(rows, ties), (encode_graph6(base), nbhd)
+                outcomes[verdict] += 1
+    assert min(outcomes.values()) > 0
+    assert 0 < len(searches) < candidates
 
 
 def test_search_automorphisms_generate_the_group():

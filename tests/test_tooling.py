@@ -137,6 +137,21 @@ def test_package_import_loads_no_submodule():
     assert _fresh_json(code) == []
 
 
+def test_no_option_parses_with_int():
+    # `int` reads any Unicode decimal digit; integer options go through
+    # the ASCII-only `cli._positive_int`
+    parsers = [build_parser()]
+    found = []
+    while parsers:
+        parser = parsers.pop()
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers += action.choices.values()
+            elif action.type is int:
+                found.append((parser.prog, action.dest))
+    assert found == []
+
+
 def _readme_synopsis() -> dict[str, str]:
     """Command -> its synopsis text, from the first code block under `## CLI`."""
     text = (ROOT / "README.md").read_text()
