@@ -219,7 +219,7 @@ def cmd_witness(args) -> int:
 
 # Largest n per mode: the labeled walk visits 2^(n(n-1)/2) masks (2^21 at
 # n = 7), and the reduced corpus holds 274668 classes at n = 9 (about
-# 7 s and 80 MB to generate) but 12005168 at n = 10, which
+# 4.5 s and 80 MB to generate) but 12005168 at n = 10, which
 # `nonisomorphic_graphs` would hold in memory as one list.
 GEN_MAX_N_LABELED = 7
 GEN_MAX_N_REDUCED = 9

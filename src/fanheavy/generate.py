@@ -97,6 +97,18 @@ def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> lis
     return cells
 
 
+def _twins(adj: tuple[int, ...], v: int, among: int) -> int:
+    """The vertices u of `among` with N(u) - {v} == N(v) - {u}, v itself if
+    there: swapping u and v is an automorphism."""
+    found, row = 0, adj[v]
+    while among:
+        u = among & -among
+        among ^= u
+        if (row ^ adj[u.bit_length() - 1]) & ~(u | 1 << v) == 0:
+            found |= u
+    return found
+
+
 def _canonical_search(adj: tuple[int, ...], images: bool = True,
                       root: list[int] | None = None
                       ) -> tuple[int, list[list[int]], list[int]]:
@@ -141,16 +153,12 @@ def _canonical_search(adj: tuple[int, ...], images: bool = True,
         while rest:
             low = rest & -rest
             rest ^= low
-            row = adj[low.bit_length() - 1]
-            others = tried
-            while others:
-                u = others & -others
-                if (row ^ adj[u.bit_length() - 1]) & ~(u | low) == 0:
-                    # low now stands for its class: the next twin pairs with it
-                    twins.add(u | low)
-                    tried ^= u | low
-                    break
-                others ^= u
+            mates = tried and _twins(adj, low.bit_length() - 1, tried)
+            if mates:
+                # low now stands for its class: the next twin pairs with it
+                u = mates & -mates
+                twins.add(u | low)
+                tried ^= u | low
             else:
                 tried |= low
                 search(_refine(adj, cells[:t] + [low, x ^ low] + cells[t + 1:], [low]))
@@ -189,31 +197,29 @@ def canonical_form(g: Graph) -> int:
     return _canonical_search(g.adj, images=False)[0]
 
 
-def _is_canonical_deletion(rows: list[int], ties: int) -> bool:
+def _is_canonical_deletion(rows: list[int], tied: int) -> bool:
     """Whether the last vertex x of the graph G' with rows `rows` lies in
     the automorphism orbit of its canonical deletion vertex m: among the
-    vertices of least degree (`ties`, x among them), those of least sum
-    of neighbour degrees, and of these the first in the best leaf order
+    vertices of least degree, those of least sum of neighbour degrees
+    (`tied`, x among them), and of these the first in the best leaf order
     of `_canonical_search`.
 
-    A tie goes to the equitable partition of G' the search starts from.
-    Its cells are unions of orbits (`_refine` never looks at labels) and
-    share degree and neighbour-degree sum, so tied vertices form whole
-    cells.  Cells split in place, so every leaf order lists them in order
-    and m, with its orbit, lies in the first tied cell: a search is needed
-    only when that cell holds x and more."""
+    When every tied vertex is x or a twin of x, so is m, and the swap of
+    twins is an automorphism taking m to x.  Otherwise the tie goes to the
+    equitable partition of G' the search starts from.  Its cells are
+    unions of orbits (`_refine` never looks at labels) and share degree
+    and neighbour-degree sum, so tied vertices form whole cells.  Cells
+    split in place, so every leaf order lists them in order and m, with
+    its orbit, lies in the first tied cell: x outside it is rejected, x
+    with only its twins there accepted, and the rest cost a search."""
     x = len(rows) - 1
-    degrees = [row.bit_count() for row in rows]
-    sums = {v: sum(degrees[w] for w in iter_bits(rows[v])) for v in iter_bits(ties)}
-    low = min(sums.values())
-    tied = sum(1 << v for v, s in sums.items() if s == low)
-    if not tied >> x & 1 or tied == 1 << x:
-        return tied == 1 << x
     adj, everything = tuple(rows), (1 << len(rows)) - 1
+    if _twins(adj, x, tied) == tied:
+        return True
     cells = _refine(adj, [everything], [everything])
     cell = next(c for c in cells if c & tied)
-    if not cell >> x & 1 or cell == 1 << x:
-        return cell == 1 << x
+    if not cell >> x & 1 or _twins(adj, x, cell) == cell:
+        return cell >> x & 1 == 1
     _, automorphisms, order = _canonical_search(adj, root=cells)
     orbit, grown = 0, 1 << next(v for v in order if cell >> v & 1)
     while grown != orbit:
@@ -263,8 +269,12 @@ def nonisomorphic_graphs(n: int) -> list[Graph]:
     the best, so it gives a returned map, and each subtree the search
     prunes is the image of a searched one under a returned twin swap.
     (a) is decided, by `_orbit_least`, only for an S that leaves no vertex
-    below the degree of x, as (b) needs.  Degrees decide most candidates,
-    the equitable partition of G' most ties, and the rest cost a search.
+    below the degree of x, as (b) needs.  With |S| = k, x's neighbour-degree
+    sum in G' is k plus the base degrees of S, and a base vertex v's is its
+    base sum, plus |N_B(v) & S| (those neighbours gained x), plus k if v is
+    in S (its new neighbour x).  Degrees decide most candidates, these sums
+    and twins of x most ties, the equitable partition of G' most of the
+    rest, and the rest cost a search.
     """
     if n == 0:
         return [Graph(0)]
@@ -272,10 +282,13 @@ def nonisomorphic_graphs(n: int) -> list[Graph]:
     last = 1 << (n - 1)
     for base in nonisomorphic_graphs(n - 1):
         adj = base.adj
-        # at[d] is the mask of base vertices of degree d, below[d] of degree < d
+        # at[d] is the mask of base vertices of degree d, below[d] of degree < d;
+        # nsum[v] is the sum of the degrees of v's neighbours
+        deg = [row.bit_count() for row in adj]
+        nsum = [sum(deg[w] for w in iter_bits(row)) for row in adj]
         at = [0] * (n + 1)
-        for v, row in enumerate(adj):
-            at[row.bit_count()] |= 1 << v
+        for v, d in enumerate(deg):
+            at[d] |= 1 << v
         below = list(accumulate(at, int.__or__, initial=0))
         # tables[i][S] is the image of the neighbourhood S under the i-th
         # automorphism, built one vertex at a time
@@ -291,10 +304,19 @@ def nonisomorphic_graphs(n: int) -> list[Graph]:
             # x has degree k; a neighbour of x gains one
             if below[k] & ~nbhd or below[k - 1] & nbhd or not _orbit_least(nbhd, tables):
                 continue
-            rows = list(adj) + [nbhd]
-            for v in iter_bits(nbhd):
-                rows[v] |= last
-            ties = at[k] & ~nbhd | at[k - 1] & nbhd
-            if not ties or _is_canonical_deletion(rows, ties | last):
-                out.append(Graph.from_rows(tuple(rows)))
+            # sums in G': x adds 1 to each neighbour's degree, k to its sum
+            own = k + sum(deg[w] for w in iter_bits(nbhd))
+            tied = last
+            for v in iter_bits(at[k] & ~nbhd | at[k - 1] & nbhd):
+                s = nsum[v] + (adj[v] & nbhd).bit_count() + (k if nbhd >> v & 1 else 0)
+                if s < own:
+                    break
+                if s == own:
+                    tied |= 1 << v
+            else:
+                rows = list(adj) + [nbhd]
+                for v in iter_bits(nbhd):
+                    rows[v] |= last
+                if tied == last or _is_canonical_deletion(rows, tied):
+                    out.append(Graph.from_rows(tuple(rows)))
     return out

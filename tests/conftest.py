@@ -147,6 +147,19 @@ def k23() -> Graph:
     return Graph(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)])
 
 
+def counted_generation(monkeypatch, n: int) -> tuple[list[Graph], int]:
+    """`nonisomorphic_graphs(n)`, and the canonical searches it makes over
+    all levels."""
+    from fanheavy import generate
+    searches = []
+    search = generate._canonical_search
+    with monkeypatch.context() as patch:
+        patch.setattr(generate, "_canonical_search",
+                      lambda adj, **kw: searches.append(adj) or search(adj, **kw))
+        graphs = generate.nonisomorphic_graphs(n)
+    return graphs, len(searches)
+
+
 @functools.cache
 def _reps(n: int) -> tuple[Graph, ...]:
     if n == 8:
@@ -200,7 +213,7 @@ def reduced_9() -> Path:
     """The file of all 274668 classes with n = 9, one graph6 line each:
     the file that FANHEAVY_N9_CORPUS names or else
     tests/data/graphs9_reduced.g6.  A missing file is generated once and
-    written first (about 7 s); it is gitignored test data, not part
+    written first (about 5 s); it is gitignored test data, not part
     of the repository."""
     path = Path(os.environ.get("FANHEAVY_N9_CORPUS") or DATA / "graphs9_reduced.g6")
     if not path.exists():

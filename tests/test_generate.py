@@ -13,7 +13,8 @@ from fanheavy.graphio import decode_graph6, encode_graph6
 from fanheavy.patterns import is_isomorphic_small
 
 from conftest import (DATA, GRAPH_COUNTS, TWO_CONNECTED_COUNTS, complete_graph,
-                      cycle_graph, edge_list, nx_isomorphic, petersen, random_graph)
+                      counted_generation, cycle_graph, edge_list, nx_isomorphic, petersen,
+                      random_graph)
 
 
 def relabel(g: Graph, rng: random.Random) -> Graph:
@@ -90,21 +91,15 @@ def test_automorphism_skip_keeps_the_unpruned_output_at_7():
 
 def test_automorphism_skip_saves_canonical_searches(monkeypatch):
     # one search per base for its automorphisms and one per candidate whose
-    # canonical deletion vertex degrees, neighbour-degree sums and the
-    # cells of the equitable partition leave open.  Kept by a new
-    # canonical form, the twin skip alone made 7195, the automorphism skip
-    # 5968 and the vertex-deletion skip 2052; with a search on every tie
-    # the canonical construction path made 720.
-    calls = []
-    search = generate._canonical_search
-
-    def counted(adj, **kwargs):
-        calls.append(adj)
-        return search(adj, **kwargs)
-
-    monkeypatch.setattr(generate, "_canonical_search", counted)
-    assert len(nonisomorphic_graphs(7)) == GRAPH_COUNTS[7]
-    assert len(calls) == 652
+    # canonical deletion vertex degrees, neighbour-degree sums, twins of
+    # the new vertex and the cells of the equitable partition leave open.
+    # Kept by a new canonical form, the twin skip alone made 7195 at n = 7,
+    # the automorphism skip 5968 and the vertex-deletion skip 2052; the
+    # canonical construction path made 720 with a search on every tie and
+    # 652 (4148 at n = 8) once the cells settled ties first.
+    for n, pinned in (7, 424), (8, 2701):
+        graphs, searches = counted_generation(monkeypatch, n)
+        assert (len(graphs), searches) == (GRAPH_COUNTS[n], pinned)
 
 
 def reference_refinement_key(g: Graph) -> tuple:
@@ -194,52 +189,101 @@ def test_orbit_least_matches_the_group_orbit():
             assert generate._orbit_least(s, tables) == (least == s), (generators, s)
 
 
-def full_search_deletion(rows: list[int], ties: int) -> bool:
-    """`_is_canonical_deletion` with no cell pre-test: a canonical search
-    on every tie, and the orbit of m from the whole group."""
+def least_invariant(g: Graph) -> int:
+    """The vertices of least degree and, among those, least sum of
+    neighbour degrees, computed on the graph itself."""
+    keys = [(g.degree(v), sum(g.degree(w) for w in iter_bits(g.adj[v]))) for v in range(g.n)]
+    return sum(1 << v for v, key in enumerate(keys) if key == min(keys))
+
+
+def full_search_deletion(rows: list[int], tied: int) -> bool:
+    """`_is_canonical_deletion` with no pre-test: a canonical search on
+    every tie, and the orbit of m from the whole group."""
     x = len(rows) - 1
     g = Graph.from_rows(tuple(rows))
-    sums = {v: sum(g.degree(w) for w in iter_bits(rows[v])) for v in iter_bits(ties)}
-    tied = {v for v, s in sums.items() if s == min(sums.values())}
     order = generate._canonical_search(g.adj)[2]
-    m = next(v for v in order if v in tied)
+    m = next(v for v in order if tied >> v & 1)
     return x in {image[m] for image in generated_group(g)}
 
 
-def test_cell_pretest_agrees_with_a_full_search(monkeypatch):
-    # every candidate with n <= 7 that passes the degree test and has a
-    # tie for the least degree; some reach the search, and the others are
-    # settled before it
-    searches = []
-    search = generate._canonical_search
+def all_twins_of(g: Graph, x: int, vertices: int) -> bool:
+    # by the definition, N(u) - {x} == N(x) - {u}
+    return all(g.adj[u] & ~(1 << x) == g.adj[x] & ~(1 << u) for u in iter_bits(vertices))
 
-    def counted(adj, **kwargs):
-        searches.append(adj)
-        return search(adj, **kwargs)
 
-    outcomes = {True: 0, False: 0}
-    candidates = 0
-    for n in range(1, 8):
+def expected_exit(g: Graph, tied: int) -> tuple[str, bool]:
+    """Which step of `_is_canonical_deletion` decides the candidate g, in
+    whose `tied` set x ties with more, worked out from the definitions,
+    and whether it calls `_refine`."""
+    x = g.n - 1
+    if all_twins_of(g, x, tied):
+        return "tied set of twins", False
+    everything = (1 << g.n) - 1
+    cells = generate._refine(g.adj, [everything], [everything])
+    cell = next(c for c in cells if c & tied)
+    if not cell >> x & 1:
+        return "x not in the cell", True
+    if all_twins_of(g, x, cell):
+        return "cell of twins" if cell != 1 << x else "x alone in the cell", True
+    return "search", True
+
+
+def candidates_with_a_tie(n_max: int) -> dict[tuple[int, ...], int]:
+    """Rows -> tied set of every candidate B + x with n <= n_max whose
+    neighbourhood is the least of its orbit under Aut(B) and where x ties
+    with another vertex for the least degree and neighbour-degree sum, the
+    tie computed on the candidate itself."""
+    out = {}
+    for n in range(1, n_max + 1):
         last = 1 << (n - 1)
         for base in nonisomorphic_graphs(n - 1):
+            tables = set_tables(n - 1, generate._canonical_search(base.adj)[1])
             for nbhd in range(last):
                 rows = list(base.adj) + [nbhd]
                 for v in iter_bits(nbhd):
                     rows[v] |= last
-                degrees = [row.bit_count() for row in rows]
-                if min(degrees) < degrees[-1]:
-                    continue
-                ties = sum(1 << v for v, d in enumerate(degrees) if d == degrees[-1])
-                if ties == last:
-                    continue
-                candidates += 1
-                with monkeypatch.context() as patch:
-                    patch.setattr(generate, "_canonical_search", counted)
-                    verdict = generate._is_canonical_deletion(rows, ties)
-                assert verdict == full_search_deletion(rows, ties), (encode_graph6(base), nbhd)
-                outcomes[verdict] += 1
-    assert min(outcomes.values()) > 0
-    assert 0 < len(searches) < candidates
+                tied = least_invariant(Graph.from_rows(tuple(rows)))
+                if tied & last and tied != last and generate._orbit_least(nbhd, tables):
+                    out[tuple(rows)] = tied
+    return out
+
+
+def test_cell_pretest_agrees_with_a_full_search(monkeypatch):
+    # the generator hands the child-side test exactly the candidates with
+    # n <= 7 where x ties, with the tied set it reads off the base's degree
+    # sums; the verdict is a full search's, and the step that decides it
+    # is the first the definitions allow
+    expected = candidates_with_a_tie(7)
+    deletion, refine, search = (generate._is_canonical_deletion, generate._refine,
+                                generate._canonical_search)
+    handed: dict[tuple[int, ...], int] = {}
+    steps: list[str] = []
+    exits: dict[str, int] = {}
+
+    def checked(rows, tied):
+        g = Graph.from_rows(tuple(rows))
+        handed[g.adj] = tied
+        verdict = full_search_deletion(rows, tied)
+        name, refines = expected_exit(g, tied)
+        steps.clear()
+        assert deletion(rows, tied) == verdict, encode_graph6(g)
+        assert ("refine" in steps, "search" in steps) == (refines, name == "search"), (
+            encode_graph6(g), name, steps)
+        exits[name] = exits.get(name, 0) + 1
+        return verdict
+
+    monkeypatch.setattr(generate, "_is_canonical_deletion", checked)
+    monkeypatch.setattr(generate, "_refine",
+                        lambda *args: steps.append("refine") or refine(*args))
+    monkeypatch.setattr(generate, "_canonical_search",
+                        lambda adj, **kw: steps.append("search") or search(adj, **kw))
+    classes = len(nonisomorphic_graphs(7))
+    assert [rows for rows in handed.keys() & expected.keys()
+            if handed[rows] != expected[rows]] == []
+    assert handed.keys() == expected.keys()
+    assert classes == GRAPH_COUNTS[7]
+    assert exits.keys() == {"tied set of twins", "x not in the cell", "cell of twins",
+                            "x alone in the cell", "search"}, exits
 
 
 def test_search_automorphisms_generate_the_group():

@@ -9,10 +9,10 @@ import pytest
 
 from fanheavy.conditions import satisfies_fan, theorem4_condition, theorem5_condition
 from fanheavy.cycles import find_hamilton_cycle
-from fanheavy.generate import canonical_form, labeled_graphs, nonisomorphic_graphs
+from fanheavy.generate import canonical_form, labeled_graphs
 from fanheavy.graphio import decode_graph6, encode_graph6
 
-from conftest import GRAPH_COUNTS, TWO_CONNECTED_COUNTS
+from conftest import GRAPH_COUNTS, TWO_CONNECTED_COUNTS, counted_generation
 
 pytestmark = pytest.mark.slow
 
@@ -43,9 +43,12 @@ def test_generate_9_vertex_classes_are_distinct(reduced_9):
     assert digest == "2834a6ddd66446838256855cf68c39384b6d93cd3d29e1a236d5d6ef063f8c37"
 
 
-def test_generate_9_vertex_output_is_pinned():
+def test_generate_9_vertex_output_is_pinned(monkeypatch):
     # `gen --n 9 --reduce` stdout, generated here: `reduced_9` may read a
-    # file that an earlier generator wrote
-    text = "".join(encode_graph6(g) + "\n" for g in nonisomorphic_graphs(9))
+    # file that an earlier generator wrote; with the canonical searches
+    # it makes over all levels
+    graphs, searches = counted_generation(monkeypatch, 9)
+    text = "".join(encode_graph6(g) + "\n" for g in graphs)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "4455c74d8d0a6e5797d8a266eeaadd7e4a8c12f93ad7ad0d9bb5f483c2cf1790")
+    assert searches == 26067

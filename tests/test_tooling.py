@@ -6,8 +6,9 @@ make `bench/run.py --trace 1` fail, so every listed name must resolve.
 Every top-level name of the package is used by the package or the
 benchmark, not only by the tests.
 The runtime imports nothing outside the standard library, `import fanheavy`
-alone loads no submodule, and the README's CLI synopsis names the options
-and choices the parser accepts.
+alone loads no submodule, the README's CLI synopsis names the options
+and choices the parser accepts, and its count of the generator's
+canonical searches is the one a run makes.
 """
 
 import argparse
@@ -26,6 +27,8 @@ from pathlib import Path
 import pytest
 
 from fanheavy.cli import build_parser
+
+from conftest import counted_generation
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "bench" / "spans.py"
@@ -176,3 +179,12 @@ def test_readme_synopsis_matches_parser():
         line = synopsis[command]
         assert set(re.findall(r"--[\w-]+", line)) == options, command
         assert dict(re.findall(r"(--[\w-]+) ([\w-]+(?:\|[\w-]+)+)", line)) == choices, command
+
+
+def test_readme_search_count_matches_the_generator(monkeypatch):
+    # the README quotes the canonical searches that building the n = 8
+    # classes takes; count them in a run
+    text = " ".join((ROOT / "README.md").read_text().split())
+    quoted = re.findall(r"Building the n = 8 classes takes (\d+) canonical searches", text)
+    assert len(quoted) == 1
+    assert counted_generation(monkeypatch, 8)[1] == int(quoted[0])
