@@ -98,8 +98,7 @@ def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> lis
 
 
 def _twins(adj: tuple[int, ...], v: int, among: int) -> int:
-    """The vertices u of `among` with N(u) - {v} == N(v) - {u}, v itself if
-    there: swapping u and v is an automorphism."""
+    """The u in `among` (v too) with N(u) - {v} == N(v) - {u}: swapping them is an automorphism."""
     found, row = 0, adj[v]
     while among:
         u = among & -among
