@@ -208,10 +208,8 @@ def cmd_hunt(args) -> int:
 
 def cmd_witness(args) -> int:
     g = build_witness(args.n)
-    if args.emit == "graph6":
-        print(encode_graph6(g))
-        return EXIT_TRUE
-    print(json.dumps(classify_witness(g), sort_keys=True))
+    print(encode_graph6(g) if args.emit == "graph6"
+          else json.dumps(classify_witness(g), sort_keys=True))
     return EXIT_TRUE
 
 

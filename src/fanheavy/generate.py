@@ -15,7 +15,7 @@ isomorphic exactly when their forms are equal.
 
 from __future__ import annotations
 
-from itertools import accumulate, combinations
+from itertools import combinations
 from typing import Iterator
 
 from .graph import Graph, iter_bits
@@ -108,13 +108,12 @@ def _twins(adj: tuple[int, ...], v: int, among: int) -> int:
     return found
 
 
-def _canonical_search(adj: tuple[int, ...], images: bool = True,
-                      root: list[int] | None = None
+def _canonical_search(adj: tuple[int, ...], root: list[int] | None = None
                       ) -> tuple[int, list[list[int]], list[int]]:
     """`canonical_form` of the graph with rows `adj`; the automorphisms its
-    search met if `images`, as lists of vertex images: maps between leaves
-    of equal certificate, and each twin's swap with its nearest lower twin;
-    and the vertex order of the best leaf.  `root`, if given, is `_refine` of {V}."""
+    search met, as lists of vertex images: maps between leaves of equal
+    certificate, and each twin's swap with its nearest lower twin; and the
+    vertex order of the best leaf.  `root`, if given, is `_refine` of {V}."""
     n = len(adj)
     best = 0
     best_order: list[int] = []
@@ -141,7 +140,7 @@ def _canonical_search(adj: tuple[int, ...], images: bool = True,
                 cert = (cert << n) | row
             if cert > best:
                 best, best_order = cert, cells
-            elif cert == best and images:
+            elif cert == best:
                 image = [0] * n
                 for b, c in zip(best_order, cells):
                     image[b.bit_length() - 1] = c.bit_length() - 1
@@ -164,7 +163,7 @@ def _canonical_search(adj: tuple[int, ...], images: bool = True,
 
     everything = (1 << n) - 1
     search(root or _refine(adj, [everything] if n else [], [everything]))
-    for u, v in map(iter_bits, twins if images else ()):
+    for u, v in map(iter_bits, twins):
         image = list(range(n))
         image[u], image[v] = v, u
         automorphisms.append(image)
@@ -193,7 +192,7 @@ def canonical_form(g: Graph) -> int:
     twins these maps generate the automorphism group, which
     `nonisomorphic_graphs` uses for its orbit tests.
     """
-    return _canonical_search(g.adj, images=False)[0]
+    return _canonical_search(g.adj)[0]
 
 
 def _is_canonical_deletion(rows: list[int], tied: int) -> bool:
@@ -281,14 +280,14 @@ def nonisomorphic_graphs(n: int) -> list[Graph]:
     last = 1 << (n - 1)
     for base in nonisomorphic_graphs(n - 1):
         adj = base.adj
-        # at[d] is the mask of base vertices of degree d, below[d] of degree < d;
+        # at[d] is the mask of base vertices of degree d, low the least degree;
         # nsum[v] is the sum of the degrees of v's neighbours
         deg = [row.bit_count() for row in adj]
         nsum = [sum(deg[w] for w in iter_bits(row)) for row in adj]
+        low = min(deg, default=0)
         at = [0] * (n + 1)
         for v, d in enumerate(deg):
             at[d] |= 1 << v
-        below = list(accumulate(at, int.__or__, initial=0))
         # tables[i][S] is the image of the neighbourhood S under the i-th
         # automorphism, built one vertex at a time
         tables = []
@@ -300,8 +299,9 @@ def nonisomorphic_graphs(n: int) -> list[Graph]:
             tables.append(table)
         for nbhd in range(last):
             k = nbhd.bit_count()
-            # x has degree k; a neighbour of x gains one
-            if below[k] & ~nbhd or below[k - 1] & nbhd or not _orbit_least(nbhd, tables):
+            # x has degree k and a neighbour of x gains one, so no vertex falls
+            # below k exactly when k <= low, or k = low + 1 and S holds at[low]
+            if k > low + 1 or k > low and at[low] & ~nbhd or not _orbit_least(nbhd, tables):
                 continue
             # sums in G': x adds 1 to each neighbour's degree, k to its sum
             own = k + sum(deg[w] for w in iter_bits(nbhd))

@@ -113,29 +113,26 @@ def _compile(forward: tuple) -> Callable[..., Iterator[int]]:
 
 @dataclass(frozen=True)
 class Pattern:
-    """A named pattern graph and its copy-search plans, built on first use.
+    """A named pattern graph and its copy-search kernels, built on first use.
 
-    A plan is the forward table of `_search_plan`.  `rooted` maps the
-    lowest root of each Aut-orbit of vertices to its plan, and `kernels`
-    to the plan's kernel.  The default search order is the plan of `top`,
-    the vertex of max degree with the lowest index.
+    `kernels` maps the lowest root of each Aut-orbit of vertices to the
+    kernel of its plan, the forward table of `_search_plan`.  The default
+    search order is the plan of `top`, the vertex of max degree with the
+    lowest index.
     """
     name: str
     graph: Graph
 
     @cached_property
-    def rooted(self) -> dict[int, tuple]:
+    def kernels(self) -> dict[int, Callable[..., Iterator[int]]]:
         g = self.graph
         by_root, covered = {}, 0
         for root in range(g.n):
             if not (covered >> root) & 1:
-                by_root[root], orbit = _search_plan(g, root)
+                forward, orbit = _search_plan(g, root)
+                by_root[root] = _compile(forward)
                 covered |= orbit
         return by_root
-
-    @cached_property
-    def kernels(self) -> dict[int, Callable[..., Iterator[int]]]:
-        return {root: _compile(forward) for root, forward in self.rooted.items()}
 
     @cached_property
     def top(self) -> int:
@@ -207,10 +204,10 @@ def _induced_copies(g: Graph, p: Pattern, below: int | None = None) -> Iterator[
 
     With `below`, the copies whose smallest vertex is below it come in
     order of their smallest vertex: for a = 0, 1, ..., below - 1 the host
-    is cut to the vertices >= a, and each root of `p.rooted` in turn is
+    is cut to the vertices >= a, and each root of `p.kernels` in turn is
     mapped to a first, with its plan.  Every copy with smallest vertex a
     is found with a root that some embedding maps to a; those roots form
-    one Aut-orbit, of which `p.rooted` holds one.  `below=g.n` walks
+    one Aut-orbit, of which `p.kernels` holds one.  `below=g.n` walks
     every copy.
     """
     k = p.graph.n

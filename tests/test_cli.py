@@ -546,7 +546,7 @@ def test_custom_pattern_is_built_once_per_token(monkeypatch):
     assert sum(not evaluate_condition(g, "f-heavy", "Dhs").verdict for g in hosts) > 10
     house = pattern("Dhs")
     assert house is pattern("Dhs")
-    assert sorted(built) == sorted(house.rooted)
+    assert sorted(built) == sorted(house.kernels)
 
 
 def test_json_documents_are_pinned():

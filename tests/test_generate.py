@@ -228,6 +228,15 @@ def expected_exit(g: Graph, tied: int) -> tuple[str, bool]:
     return "search", True
 
 
+def candidate(adj: tuple[int, ...], nbhd: int) -> Graph:
+    """The base with rows `adj` plus a new last vertex with neighbourhood `nbhd`."""
+    last = 1 << len(adj)
+    rows = list(adj) + [nbhd]
+    for v in iter_bits(nbhd):
+        rows[v] |= last
+    return Graph.from_rows(tuple(rows))
+
+
 def candidates_with_a_tie(n_max: int) -> dict[tuple[int, ...], int]:
     """Rows -> tied set of every candidate B + x with n <= n_max whose
     neighbourhood is the least of its orbit under Aut(B) and where x ties
@@ -239,13 +248,39 @@ def candidates_with_a_tie(n_max: int) -> dict[tuple[int, ...], int]:
         for base in nonisomorphic_graphs(n - 1):
             tables = set_tables(n - 1, generate._canonical_search(base.adj)[1])
             for nbhd in range(last):
-                rows = list(base.adj) + [nbhd]
-                for v in iter_bits(nbhd):
-                    rows[v] |= last
-                tied = least_invariant(Graph.from_rows(tuple(rows)))
+                g = candidate(base.adj, nbhd)
+                tied = least_invariant(g)
                 if tied & last and tied != last and generate._orbit_least(nbhd, tables):
-                    out[tuple(rows)] = tied
+                    out[g.adj] = tied
     return out
+
+
+def test_orbit_test_sees_exactly_the_candidates_of_least_degree(monkeypatch):
+    # the degree test before `_orbit_least` reads only the base's least
+    # degree; at every level of nonisomorphic_graphs(7) the (base, S) pairs
+    # that reach the orbit test are exactly those where no vertex of B + S
+    # has degree below |S|, computed on the candidate itself
+    search, orbit_least = generate._canonical_search, generate._orbit_least
+    bases: list[tuple[int, ...]] = []
+    reached: list[tuple[tuple[int, ...], int]] = []
+
+    def base_search(adj, root=None):
+        # the child-side test passes `root`; a base's search does not
+        if root is None:
+            bases.append(adj)
+        return search(adj, root)
+
+    def spied(nbhd, tables):
+        reached.append((bases[-1], nbhd))
+        return orbit_least(nbhd, tables)
+
+    monkeypatch.setattr(generate, "_canonical_search", base_search)
+    monkeypatch.setattr(generate, "_orbit_least", spied)
+    assert len(nonisomorphic_graphs(7)) == GRAPH_COUNTS[7]
+    assert len(bases) == sum(GRAPH_COUNTS[n] for n in range(7))
+    expected = [(adj, nbhd) for adj in bases for nbhd in range(1 << len(adj))
+                if min(map(int.bit_count, candidate(adj, nbhd).adj)) >= nbhd.bit_count()]
+    assert reached == expected
 
 
 def test_cell_pretest_agrees_with_a_full_search(monkeypatch):

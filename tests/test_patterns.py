@@ -83,7 +83,7 @@ def test_searches_use_the_plans_built_with_the_pattern(monkeypatch):
             assert enumerate_induced_copies(g, p)
             assert not is_R_f_heavy(g, p).verdict
     # one plan per Aut-orbit root of each pattern, each built once
-    assert sorted(built) == sorted((id(p.graph), root) for p in pats for root in p.rooted)
+    assert sorted(built) == sorted((id(p.graph), root) for p in pats for root in p.kernels)
 
 
 def test_import_builds_no_plan():
@@ -111,7 +111,7 @@ def test_import_builds_no_plan():
 
 def test_empty_pattern_has_no_copies():
     k0 = Pattern("k0", Graph(0))
-    assert k0 == Pattern("k0", Graph(0)) and k0.rooted == k0.kernels == {}
+    assert k0 == Pattern("k0", Graph(0)) and k0.kernels == {}
     for g in (Graph(0), complete_graph(3), cycle_graph(6)):
         assert enumerate_induced_copies(g, k0) == []
         assert has_induced_copy(g, k0) is None
@@ -257,9 +257,11 @@ def _lex_leader_cuts(links):
     return after
 
 
-def _links(forward):
-    """The backward links of a plan, read off its forward table: links[q]
-    holds (pos, adjacent) exactly when forward[pos] holds (q, adjacent, _)."""
+def _links(p, root):
+    """The backward links of the plan of `p` rooted at `root`, read off its
+    forward table: links[q] holds (pos, adjacent) exactly when forward[pos]
+    holds (q, adjacent, _)."""
+    forward, _orbit = _search_plan(p.graph, root)
     links = [[] for _ in forward]
     for pos, row in enumerate(forward):
         for q, adjacent, _cut in row:
@@ -276,9 +278,9 @@ def _assert_yields_unchanged(p, hosts):
     modes, with the cuts worked out from the plan links alone; returns the
     number of copies."""
     k = p.graph.n
-    links = _links(p.rooted[p.top])
+    links = _links(p, p.top)
     plan = (links, _lex_leader_cuts(links))
-    rooted = [(r, _lex_leader_cuts(r)) for r in map(_links, p.rooted.values())]
+    rooted = [(r, _lex_leader_cuts(r)) for r in (_links(p, root) for root in p.kernels)]
     copies = 0
     for g in hosts:
         full = g.full_mask()
@@ -354,10 +356,11 @@ def _first_copy_unconstrained(g, links):
 
 def test_first_copy_unchanged_by_symmetry_cuts():
     hits = 0
+    links = {p.name: _links(p, p.top) for p in SYMMETRIC_PATTERNS.values()}
     for g in _search_hosts(61):
         for p in SYMMETRIC_PATTERNS.values():
             first = has_induced_copy(g, p)
-            assert first == _first_copy_unconstrained(g, _links(p.rooted[p.top])), (g, p.name)
+            assert first == _first_copy_unconstrained(g, links[p.name]), (g, p.name)
             hits += first is not None
     assert hits > 500
 
@@ -373,7 +376,7 @@ def _orbit_count(p):
 
 def test_rooted_plans_one_per_orbit():
     for p in [pattern(name) for name in CATALOG_NAMES] + list(SYMMETRIC_PATTERNS.values()):
-        assert len(p.rooted) == _orbit_count(p), p.name
+        assert len(p.kernels) == _orbit_count(p), p.name
 
 
 def test_long_paths_run_across_kernel_functions():

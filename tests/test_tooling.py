@@ -3,8 +3,8 @@
 The benchmark's per-layer tracer patches program functions by name:
 `bench/spans.py` lists them, and a rename or deletion in `fanheavy` would
 make `bench/run.py --trace 1` fail, so every listed name must resolve.
-Every top-level name of the package is used by the package or the
-benchmark, not only by the tests.
+Every top-level name of the package, and every method and property of its
+classes, is used by the package or the benchmark, not only by the tests.
 The runtime imports nothing outside the standard library, `import fanheavy`
 alone loads no submodule, the README's CLI synopsis names the options
 and choices the parser accepts, and its count of the generator's
@@ -93,6 +93,25 @@ def test_every_top_level_name_is_used_outside_the_tests():
     unused = [f"{path.stem}.{name}" for path in sources
               for name in _top_level_names(ast.parse(path.read_text()))
               if not name.startswith("__") and uses[name] < 2]
+    assert unused == []
+
+
+def test_every_class_member_is_used_outside_the_tests():
+    # methods, properties and cached properties; a use is an attribute
+    # such as `g.full_mask` or `self.kernels`, found with `ast`, so one
+    # inside an f-string counts (Python 3.11 reads an f-string as a
+    # single STRING token) and comments and docstrings do not
+    sources = sorted((ROOT / "src" / "fanheavy").glob("*.py"))
+    trees = {path: ast.parse(path.read_text())
+             for path in sources + sorted((ROOT / "bench").glob("*.py"))}
+    uses = Counter(node.attr for tree in trees.values() for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute))
+    members = [(path.stem, cls.name, item.name) for path in sources
+               for cls in trees[path].body if isinstance(cls, ast.ClassDef)
+               for item in cls.body if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    assert len(members) > 10
+    unused = [".".join(member) for member in members
+              if not member[2].startswith("__") and uses[member[2]] == 0]
     assert unused == []
 
 
