@@ -62,7 +62,7 @@ def make_o_cycle(g: Graph, seq: tuple[int, ...] | list[int]) -> OCycle:
         u, v = seq[i], seq[(i + 1) % k]
         if not g.ore_adjacent(u, v):
             raise ValueError(f"pair ({u},{v}) is not Ore-adjacent")
-        flags.append(not g.has_edge(u, v))
+        flags.append(not (g.adj[u] >> v) & 1)
     return OCycle(seq, tuple(flags))
 
 
@@ -120,7 +120,7 @@ def _cycle_search(g: Graph, start: int, req_mask: int) -> tuple[int, ...] | None
 def find_hamilton_cycle(g: Graph) -> tuple[int, ...] | None:
     """Exact backtracking Hamilton-cycle search; None iff non-Hamiltonian."""
     # 2-connectivity is necessary, and for n >= 3 it implies min degree >= 2
-    if g.n < 3 or not g.is_two_connected():
+    if not g.is_two_connected():
         return None
     return _cycle_search(g, 0, g.full_mask())
 

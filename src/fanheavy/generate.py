@@ -48,12 +48,9 @@ def refinement_key(g: Graph) -> tuple:
     colors = [len(ws) for ws in nbrs]
     edges = sum(colors) // 2
     for _ in range(3):
-        sigs = [(c, sorted([colors[w] for w in ws])) for c, ws in zip(colors, nbrs)]
-        rank, last = -1, None
-        for v in sorted(range(g.n), key=sigs.__getitem__):
-            if sigs[v] != last:
-                rank, last = rank + 1, sigs[v]
-            colors[v] = rank
+        sigs = [(c, tuple(sorted([colors[w] for w in ws]))) for c, ws in zip(colors, nbrs)]
+        index = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        colors = [index[s] for s in sigs]
     return (g.n, edges, tuple(sorted(colors)))
 
 

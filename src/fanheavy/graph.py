@@ -142,7 +142,8 @@ class Graph:
         self._check(v)
         if u == v:
             raise GraphError("ore_adjacent undefined for a vertex with itself")
-        return self.has_edge(u, v) or self.degree(u) + self.degree(v) >= self.n
+        ru, rv = self.adj[u], self.adj[v]
+        return (ru >> v) & 1 == 1 or ru.bit_count() + rv.bit_count() >= self.n
 
 
 def iter_bits(mask: int) -> Iterator[int]:

@@ -46,7 +46,7 @@ def _search_plan(p: Graph, root: int) -> tuple[tuple, int]:
     the G_i-orbit of v_i (all at later positions) above v_i: the
     lex-leader rule.  after[pos] is the latest such i for the vertex of
     pos, or -1, and forward cuts there; the earlier ones follow.  Each
-    orbit comes from one automorphism search per vertex, never from
+    orbit comes from one automorphism search per later vertex, never from
     listing the group.  `orbit` is the Aut(p)-orbit of root, a bitmask.
     """
     n, adj = p.n, p.adj
@@ -62,18 +62,14 @@ def _search_plan(p: Graph, root: int) -> tuple[tuple, int]:
                   for pos, v in enumerate(order))
     search = _compile(uncut)
     after = [-1] * n
-    orbit, fixed = 1 << root, 0
-    for i, v in enumerate(order):
+    orbit = 1 << root
+    for i in range(n):
         for q, w in enumerate(order[i + 1:], i + 1):
-            # an automorphism fixing v_0 .. v_{i-1} keeps degree and adjacency to them
-            if deg[w] != deg[v] or (adj[v] ^ adj[w]) & fixed:
-                continue
             row = [1 << u for u in order[:i]] + [1 << w] + [p.full_mask()] * (n - i - 1)
             if next(search(adj, 0, *row), 0):
                 after[q] = i
                 if i == 0:
                     orbit |= 1 << w
-        fixed |= 1 << v
     forward = tuple(tuple((q, a, after[q] == pos) for q, a, _ in row) if pos in after else row
                     for pos, row in enumerate(uncut))
     return forward, orbit

@@ -452,6 +452,16 @@ def test_witness_report(capsys):
     assert rep["flags"]["hamiltonian"]["verified"] is True
 
 
+def test_gen_labeled_output_is_pinned(capsys):
+    # the labeled corpus is the ground truth for n <= 6; a change in its
+    # order or labels changes these bytes, not only its counts
+    code, out, _ = run(capsys, "gen", "--n", "5")
+    assert code == 0
+    assert len(out.splitlines()) == 1024
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "4ac9156f6af83aee1229b9eb4bd9cd3427c1fe25a0d0eb9f642eb054b3e857b0")
+
+
 def test_gen_two_connected_counts(capsys):
     code, out, _ = run(capsys, "gen", "--n", "5", "--two-connected", "--reduce")
     assert code == 0

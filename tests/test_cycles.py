@@ -7,7 +7,7 @@ from fanheavy.cycles import (OCycle, expand_o_cycle,
                              find_cycle_through, find_hamilton_cycle, heavy_vertices,
                              is_valid_cycle, make_o_cycle, normalize_cycle)
 from fanheavy.generate import labeled_graphs
-from fanheavy.graph import Graph, path_graph
+from fanheavy.graph import Graph, GraphError, path_graph
 
 from conftest import (complete_graph, cycle_graph, first_cycle_dfs, hamiltonian_brute_force,
                       k23, petersen, random_graph, random_o_cycle)
@@ -147,6 +147,16 @@ def test_make_o_cycle_validation():
         make_o_cycle(c5, (0, 1))
     with pytest.raises(ValueError):
         make_o_cycle(c5, (0, 1, 1))
+
+
+def test_ore_path_rejects_out_of_range_vertices():
+    # a negative vertex must not read a row from the end of `adj`
+    c5 = cycle_graph(5)
+    for u, v in [(0, 5), (5, 0), (-1, 0), (0, -1)]:
+        with pytest.raises(GraphError):
+            c5.ore_adjacent(u, v)
+    with pytest.raises(GraphError):
+        make_o_cycle(c5, (0, 1, -1))
 
 
 def test_expand_o_cycle_examples():
