@@ -216,11 +216,10 @@ def cmd_witness(args) -> int:
 # -- gen ------------------------------------------------------------------
 
 # Largest n per mode: the labeled walk visits 2^(n(n-1)/2) masks (2^21 at
-# n = 7), and the reduced corpus holds 274668 classes at n = 9 (about
-# 4.5 s and 80 MB to generate) but 12005168 at n = 10, which
-# `nonisomorphic_graphs` would hold in memory as one list.
+# n = 7); the reduced one holds level n - 1 as a list, 274668 classes at
+# n = 10 (under 80 MB) but 12005168 at n = 11 (about 3 GB).
 GEN_MAX_N_LABELED = 7
-GEN_MAX_N_REDUCED = 9
+GEN_MAX_N_REDUCED = 10
 
 
 def cmd_gen(args) -> int:
@@ -229,7 +228,8 @@ def cmd_gen(args) -> int:
         mode = "with" if args.reduce else "without"
         raise ValueError(f"n must be <= {limit} {mode} --reduce")
     if args.reduce:
-        graphs = generate.nonisomorphic_graphs(args.n)
+        graphs = (g for base in generate.nonisomorphic_graphs(args.n - 1)
+                  for g in generate.children(base))
     else:
         graphs = generate.labeled_graphs(args.n)
     for g in graphs:

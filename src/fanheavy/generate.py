@@ -186,8 +186,8 @@ def canonical_form(g: Graph) -> int:
     branches, which is cheap for the n <= 9 corpora.  But a leaf whose
     certificate equals the best one so far maps the best leaf's vertex
     order onto its own, an automorphism; with the swaps of the pruned
-    twins these maps generate the automorphism group, which
-    `nonisomorphic_graphs` uses for its orbit tests.
+    twins these maps generate the automorphism group, which `children`
+    uses for its orbit tests.
     """
     return _canonical_search(g.adj)[0]
 
@@ -240,17 +240,17 @@ def _orbit_least(nbhd: int, tables: list[list[int]]) -> bool:
     return True
 
 
-def nonisomorphic_graphs(n: int) -> list[Graph]:
-    """One representative per isomorphism class of graphs on n vertices,
-    by McKay's canonical construction path ("Isomorph-free exhaustive
-    generation", J. Algorithms 1998), with no memory of earlier output.
+def children(base: Graph) -> Iterator[Graph]:
+    """The children of B = `base` along McKay's canonical construction
+    path ("Isomorph-free exhaustive generation", J. Algorithms 1998).  Over
+    one base per class on n vertices they are one graph per class on n + 1,
+    and each base is handled with no memory of any other.
 
-    Each (n-1)-vertex representative B gets a new vertex x = n - 1 whose
-    neighbourhood S runs up in bitmask order; the output is in that order,
-    base by base.  G' = B + x is kept when (a) S is the least bitmask of
-    its orbit under Aut(B), and (b) x lies in the Aut(G')-orbit of the
-    canonical deletion vertex m(G') (`_is_canonical_deletion`).  The orbit
-    of m(G') is an isomorphism invariant, since an isomorphism maps the
+    B gets a new vertex x = base.n whose neighbourhood S runs up in bitmask
+    order, as does the output.  G' = B + x is kept when (a) S is the least
+    bitmask of its orbit under Aut(B), and (b) x lies in the Aut(G')-orbit
+    of the canonical deletion vertex m(G') (`_is_canonical_deletion`).  The
+    orbit of m(G') is an isomorphism invariant, since an isomorphism maps the
     best leaf order of one graph onto that of the other up to an
     automorphism.  So each class is kept once.  For a graph H of the class,
     H - m(H) is isomorphic to one base B, which maps N(m(H)) into one
@@ -271,48 +271,52 @@ def nonisomorphic_graphs(n: int) -> list[Graph]:
     and twins of x most ties, the equitable partition of G' most of the
     rest, and the rest cost a search.
     """
-    if n == 0:
-        return [Graph(0)]
-    out = []
-    last = 1 << (n - 1)
-    for base in nonisomorphic_graphs(n - 1):
-        adj = base.adj
-        # at[d] is the mask of base vertices of degree d, low the least degree;
-        # nsum[v] is the sum of the degrees of v's neighbours
-        deg = [row.bit_count() for row in adj]
-        nsum = [sum(deg[w] for w in iter_bits(row)) for row in adj]
-        low = min(deg, default=0)
-        at = [0] * (n + 1)
-        for v, d in enumerate(deg):
-            at[d] |= 1 << v
-        # tables[i][S] is the image of the neighbourhood S under the i-th
-        # automorphism, built one vertex at a time
-        tables = []
-        for image in _canonical_search(adj)[1]:
-            table = [0]
-            for v in range(n - 1):
-                bit = 1 << image[v]
-                table += [m | bit for m in table]
-            tables.append(table)
-        for nbhd in range(last):
-            k = nbhd.bit_count()
-            # x has degree k and a neighbour of x gains one, so no vertex falls
-            # below k exactly when k <= low, or k = low + 1 and S holds at[low]
-            if k > low + 1 or k > low and at[low] & ~nbhd or not _orbit_least(nbhd, tables):
-                continue
-            # sums in G': x adds 1 to each neighbour's degree, k to its sum
-            own = k + sum(deg[w] for w in iter_bits(nbhd))
-            tied = last
-            for v in iter_bits(at[k] & ~nbhd | at[k - 1] & nbhd):
-                s = nsum[v] + (adj[v] & nbhd).bit_count() + (k if nbhd >> v & 1 else 0)
-                if s < own:
-                    break
-                if s == own:
-                    tied |= 1 << v
-            else:
-                rows = list(adj) + [nbhd]
-                for v in iter_bits(nbhd):
-                    rows[v] |= last
-                if tied == last or _is_canonical_deletion(rows, tied):
-                    out.append(Graph.from_rows(tuple(rows)))
-    return out
+    adj = base.adj
+    last = 1 << base.n
+    # at[d] is the mask of base vertices of degree d, low the least degree;
+    # nsum[v] is the sum of the degrees of v's neighbours
+    deg = [row.bit_count() for row in adj]
+    nsum = [sum(deg[w] for w in iter_bits(row)) for row in adj]
+    low = min(deg, default=0)
+    at = [0] * (base.n + 2)
+    for v, d in enumerate(deg):
+        at[d] |= 1 << v
+    # tables[i][S] is the image of the neighbourhood S under the i-th
+    # automorphism, built one vertex at a time
+    tables = []
+    for image in _canonical_search(adj)[1]:
+        table = [0]
+        for v in range(base.n):
+            bit = 1 << image[v]
+            table += [m | bit for m in table]
+        tables.append(table)
+    for nbhd in range(last):
+        k = nbhd.bit_count()
+        # x has degree k and a neighbour of x gains one, so no vertex falls
+        # below k exactly when k <= low, or k = low + 1 and S holds at[low]
+        if k > low + 1 or k > low and at[low] & ~nbhd or not _orbit_least(nbhd, tables):
+            continue
+        # sums in G': x adds 1 to each neighbour's degree, k to its sum
+        own = k + sum(deg[w] for w in iter_bits(nbhd))
+        tied = last
+        for v in iter_bits(at[k] & ~nbhd | at[k - 1] & nbhd):
+            s = nsum[v] + (adj[v] & nbhd).bit_count() + (k if nbhd >> v & 1 else 0)
+            if s < own:
+                break
+            if s == own:
+                tied |= 1 << v
+        else:
+            rows = list(adj) + [nbhd]
+            for v in iter_bits(nbhd):
+                rows[v] |= last
+            if tied == last or _is_canonical_deletion(rows, tied):
+                yield Graph.from_rows(tuple(rows))
+
+
+def nonisomorphic_graphs(n: int) -> list[Graph]:
+    """One representative per isomorphism class of graphs on n vertices:
+    the `children` of each class on n - 1, in order, from Graph(0) up."""
+    level = [Graph(0)]
+    for _ in range(n):
+        level = [g for base in level for g in children(base)]
+    return level

@@ -16,8 +16,9 @@ DATA = Path(__file__).parent / "data"
 # number of graphs / 2-connected graphs per vertex count, one per
 # isomorphism class (OEIS A000088 / A002218)
 GRAPH_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346,
-                9: 274668}
-TWO_CONNECTED_COUNTS = {3: 1, 4: 3, 5: 10, 6: 56, 7: 468, 8: 7123, 9: 194066}
+                9: 274668, 10: 12005168}
+TWO_CONNECTED_COUNTS = {3: 1, 4: 3, 5: 10, 6: 56, 7: 468, 8: 7123, 9: 194066,
+                        10: 9743542}
 
 
 def edge_list(g: Graph) -> list[tuple[int, int]]:

@@ -6,6 +6,7 @@ import networkx as nx
 import pytest
 
 from fanheavy import generate
+from fanheavy.cli import main
 from fanheavy.generate import (canonical_form, labeled_graphs,
                                nonisomorphic_graphs, refinement_key)
 from fanheavy.graph import Graph, iter_bits
@@ -33,9 +34,13 @@ def test_nonisomorphic_counts_match_known_sequence():
         assert len(nonisomorphic_graphs(n)) == GRAPH_COUNTS[n]
 
 
-def test_nonisomorphic_7_output_is_pinned():
-    # `gen --n 7 --reduce` stdout; a change in output order changes it
+def test_nonisomorphic_7_output_is_pinned(capsys):
+    # `gen --n 7 --reduce` stdout, which streams the children of the n = 6
+    # classes, and the same lines from `nonisomorphic_graphs(7)`; a change
+    # in output order changes it
+    assert main(["gen", "--n", "7", "--reduce"]) == 0
     text = "\n".join(encode_graph6(g) for g in nonisomorphic_graphs(7)) + "\n"
+    assert capsys.readouterr().out == text
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "d0e4a19fccc3afdefe0700aeadc1e4eccb213f661267832ca8fbe5d8f9172869")
 

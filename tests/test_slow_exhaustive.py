@@ -9,7 +9,7 @@ import pytest
 
 from fanheavy.conditions import satisfies_fan, theorem4_condition, theorem5_condition
 from fanheavy.cycles import find_hamilton_cycle
-from fanheavy.generate import canonical_form, labeled_graphs
+from fanheavy.generate import canonical_form, children, labeled_graphs, nonisomorphic_graphs
 from fanheavy.graphio import decode_graph6, encode_graph6
 
 from conftest import GRAPH_COUNTS, TWO_CONNECTED_COUNTS, counted_generation
@@ -52,3 +52,17 @@ def test_generate_9_vertex_output_is_pinned(monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "4455c74d8d0a6e5797d8a266eeaadd7e4a8c12f93ad7ad0d9bb5f483c2cf1790")
     assert searches == 26067
+
+
+def test_generate_10_vertex_output_is_pinned():
+    # `gen --n 10 --reduce` streams the children of the n = 9 classes, as
+    # here, with no level-10 list
+    digest, classes, two_connected = hashlib.sha256(), 0, 0
+    for base in nonisomorphic_graphs(9):
+        for g in children(base):
+            digest.update((encode_graph6(g) + "\n").encode())
+            classes += 1
+            two_connected += g.is_two_connected()
+    assert (classes, two_connected) == (GRAPH_COUNTS[10], TWO_CONNECTED_COUNTS[10])
+    assert digest.hexdigest() == (
+        "07f4ab26b9b5cfcb0a91ac06a3ddc5fdf10f6aec2ea27912a00e2952eaf3e7b9")

@@ -7,8 +7,8 @@ Every top-level name of the package, and every method and property of its
 classes, is used by the package or the benchmark, not only by the tests.
 The runtime imports nothing outside the standard library, `import fanheavy`
 alone loads no submodule, the README's CLI synopsis names the options
-and choices the parser accepts, and its count of the generator's
-canonical searches is the one a run makes.
+and choices the parser accepts and the size caps of `gen`, and its count
+of the generator's canonical searches is the one a run makes.
 """
 
 import argparse
@@ -26,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from fanheavy.cli import build_parser
+from fanheavy.cli import GEN_MAX_N_LABELED, GEN_MAX_N_REDUCED, build_parser
 
 from conftest import counted_generation
 
@@ -198,6 +198,11 @@ def test_readme_synopsis_matches_parser():
         line = synopsis[command]
         assert set(re.findall(r"--[\w-]+", line)) == options, command
         assert dict(re.findall(r"(--[\w-]+) ([\w-]+(?:\|[\w-]+)+)", line)) == choices, command
+    # the gen line's comment quotes the caps that `cmd_gen` enforces
+    gen = next(line for line in (ROOT / "README.md").read_text().splitlines()
+               if line.startswith("fanheavy gen "))
+    assert gen.split("#", 1)[1].strip() == (
+        f"K <= {GEN_MAX_N_LABELED}, or K <= {GEN_MAX_N_REDUCED} with --reduce")
 
 
 def test_readme_search_count_matches_the_generator(monkeypatch):
