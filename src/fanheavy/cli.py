@@ -42,8 +42,11 @@ EXIT_ERROR = 2
 
 
 def _open_input(path: str):
-    """Context manager over an input file, or over stdin for '-' (left open)."""
-    return contextlib.nullcontext(sys.stdin) if path == "-" else open(path)
+    """An input file, or stdin for '-' (left open), as strict UTF-8 split at "\\n" only."""
+    if path != "-":
+        return open(path, encoding="utf-8", newline="\n")
+    sys.stdin.reconfigure(encoding="utf-8", newline="\n")
+    return contextlib.nullcontext(sys.stdin)
 
 
 def _load_graph(path: str) -> Graph:

@@ -80,10 +80,9 @@ def _light_pair(adj: list[int], light: int, mask: int) -> tuple[int, int] | None
     return None
 
 
-def _light_pair_report(condition: str, g: Graph, light: int, mask: int,
-                       subset: tuple[int, ...] | None,
+def _light_pair_report(condition: str, g: Graph, mask: int, subset: tuple[int, ...] | None,
                        pattern_name: str | None) -> ConditionReport:
-    pair = _light_pair(g.adj, light, mask)
+    pair = _light_pair(g.adj, g.light_mask(), mask)
     if pair is None:
         return ConditionReport(condition, True)
     u, v = pair
@@ -100,10 +99,10 @@ def copy_is_f_heavy(g: Graph, subset: tuple[int, ...] | list[int],
     for v in sub:
         g._check(v)
         mask |= 1 << v
-    return _light_pair_report("f-heavy-copy", g, g.light_mask(), mask, sub, pattern_name)
+    return _light_pair_report("f-heavy-copy", g, mask, sub, pattern_name)
 
 
-def is_R_f_heavy(g: Graph, p: Pattern, light: int | None = None) -> ConditionReport:
+def is_R_f_heavy(g: Graph, p: Pattern) -> ConditionReport:
     """Every induced copy of p is f-heavy in g.
 
     On failure the witness is the lexicographically first light copy.
@@ -112,17 +111,14 @@ def is_R_f_heavy(g: Graph, p: Pattern, light: int | None = None) -> ConditionRep
     smallest vertex no larger than that copy's, and a walk of the copies
     in order of their smallest vertex, bounded there, meets it among
     those sharing the smallest vertex of the first light copy it meets.
-    `light`, from `g.light_mask()`, lets a caller checking several patterns
-    compute it once.
     """
     name = f"{p.name}-f-heavy"
-    if light is None:
-        light = g.light_mask()
+    light = g.light_mask()
     adj = g.adj
     if _light_pair(adj, light, g.full_mask()) is None:  # Fan's condition
         return ConditionReport(name, True)
     for c in _induced_copies(g, p):
-        if (c & light).bit_count() >= 2 and _light_pair(adj, light, c):
+        if _light_pair(adj, light, c):
             break
     else:
         return ConditionReport(name, True)
@@ -133,18 +129,17 @@ def is_R_f_heavy(g: Graph, p: Pattern, light: int | None = None) -> ConditionRep
         if best and not c & best & -best:
             break
         diff = c ^ best
-        if c & diff & -diff and (c & light).bit_count() >= 2 and _light_pair(adj, light, c):
+        if c & diff & -diff and _light_pair(adj, light, c):
             best = c
-    return _light_pair_report(name, g, light, best, tuple(iter_bits(best)), p.name)
+    return _light_pair_report(name, g, best, tuple(iter_bits(best)), p.name)
 
 
 def is_family_f_heavy(g: Graph, ps: list[Pattern]) -> ConditionReport:
     if not ps:
         raise ValueError("pattern family must be non-empty")
     name = "{" + ",".join(p.name for p in ps) + "}-f-heavy"
-    light = g.light_mask()
     for p in ps:
-        rep = is_R_f_heavy(g, p, light)
+        rep = is_R_f_heavy(g, p)
         if not rep.verdict:
             return ConditionReport(name, False, rep.violations)
     return ConditionReport(name, True)
@@ -152,7 +147,7 @@ def is_family_f_heavy(g: Graph, ps: list[Pattern]) -> ConditionReport:
 
 def satisfies_fan(g: Graph) -> ConditionReport:
     """Fan condition: every distance-2 pair of g has a heavy endpoint."""
-    return _light_pair_report("fan", g, g.light_mask(), g.full_mask(), None, None)
+    return _light_pair_report("fan", g, g.full_mask(), None, None)
 
 
 def is_2_heavy(g: Graph) -> ConditionReport:
@@ -180,15 +175,14 @@ def theorem5_condition(g: Graph) -> ConditionReport:
     both disjunct violations are reported, deer's first, so a claw or p7
     violation, shared by the two disjuncts, appears twice.
     """
-    light = g.light_mask()
     for name in ("claw", "p7"):
-        rep = is_R_f_heavy(g, pattern(name), light)
+        rep = is_R_f_heavy(g, pattern(name))
         if not rep.verdict:
             return ConditionReport("thm5", False, rep.violations * 2)
-    deer_rep = is_R_f_heavy(g, pattern("deer"), light)
+    deer_rep = is_R_f_heavy(g, pattern("deer"))
     if deer_rep.verdict:
         return ConditionReport("thm5", True)
-    hour_rep = is_R_f_heavy(g, pattern("hourglass"), light)
+    hour_rep = is_R_f_heavy(g, pattern("hourglass"))
     if hour_rep.verdict:
         return ConditionReport("thm5", True)
     return ConditionReport("thm5", False, deer_rep.violations + hour_rep.violations)

@@ -88,12 +88,13 @@ class Graph:
         """n >= 3, connected, and no cut vertex, by one iterative DFS from
         vertex 0 (Hopcroft-Tarjan, CACM 1973).
 
-        A frame is (v, neighbours of v not yet tried).  Parents are not
-        tracked: the tree edge from a child w back to v lowers low[w] only
-        to disc[v], so low[w] >= disc[v] still says that v cuts w's
-        subtree off.  When the first child of vertex 0 finishes, the graph
-        is 2-connected exactly when that child's subtree holds every other
-        vertex, which rules out both a second component and a cut at 0.
+        The stack holds vertices, each pushed once, and todo[v] the
+        neighbours of v not yet tried.  Parents are not tracked: the tree
+        edge from a child w back to v lowers low[w] only to disc[v], so
+        low[w] >= disc[v] still says that v cuts w's subtree off.  When the
+        first child of vertex 0 finishes, the graph is 2-connected exactly
+        when that child's subtree holds every other vertex, which rules out
+        both a second component and a cut at 0.
         """
         n, adj = self.n, self.adj
         if n < 3 or not adj[0]:
@@ -102,12 +103,13 @@ class Graph:
         low = [0] * n
         disc[0] = low[0] = 1
         timer = 2
-        stack = [(0, adj[0])]
+        todo = list(adj)
+        stack = [0]
         while True:
-            v, todo = stack[-1]
-            if todo:
-                bit = todo & -todo
-                stack[-1] = (v, todo ^ bit)
+            v = stack[-1]
+            if todo[v]:
+                bit = todo[v] & -todo[v]
+                todo[v] ^= bit
                 w = bit.bit_length() - 1
                 if disc[w]:
                     if disc[w] < low[v]:
@@ -115,10 +117,10 @@ class Graph:
                 else:
                     disc[w] = low[w] = timer
                     timer += 1
-                    stack.append((w, adj[w]))
+                    stack.append(w)
                 continue
             stack.pop()
-            u = stack[-1][0]
+            u = stack[-1]
             if u == 0:
                 return timer > n
             if low[v] >= disc[u]:

@@ -304,7 +304,8 @@ def test_verify_workers_match_serial_across_chunks(capsys, monkeypatch):
     text = "C~\nA_\n" * 300 + "!!bad!!\n" + "C~\nA_\n" * 300
     docs = []
     for workers in ("1", "2"):
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        # a real text stream, which `-` reconfigures to strict UTF-8
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
         code, out, _ = run(capsys, "verify", "--corpus", "-", "--theorem", "thm1",
                            "--no-2connected-gate", "--workers", workers)
         assert code == 1
@@ -503,11 +504,66 @@ def test_n_takes_only_ascii_digits(capsys, argv):
     assert err.startswith("usage:") and f"--n: expected an integer >= 1, got '{argv[2]}'" in err
 
 
-def _run_cli_process(stdout, *argv):
+def _run_cli_process(stdout, *argv, stdin=None, locale=None):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    return subprocess.run([sys.executable, "-m", "fanheavy.cli", *argv],
+    if locale is not None:
+        env["LC_ALL"] = locale
+    return subprocess.run([sys.executable, "-m", "fanheavy.cli", *argv], input=stdin,
                           stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60)
+
+
+def _both_routes(tmp_path, data, *argv):
+    """(exit code, stdout, stderr) of the command reading `data` from a file
+    and from stdin, each in a fresh interpreter under the C locale, whose
+    stdin default decodes any byte."""
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    runs = [_run_cli_process(subprocess.PIPE, *[path if a == "-" else a for a in argv],
+                             locale="C"),
+            _run_cli_process(subprocess.PIPE, *argv, stdin=data, locale="C")]
+    return [(r.returncode, r.stdout.decode(), r.stderr.decode()) for r in runs]
+
+
+@pytest.mark.parametrize("argv", [("verify", "--corpus", "-", "--theorem", "thm5"),
+                                  ("hunt", "--r", "p7", "--s", "deer", "--corpus", "-")],
+                         ids=["verify", "hunt"])
+def test_corpus_file_and_stdin_agree(tmp_path, argv):
+    # a CRLF line, a lone CR inside a line, a blank line, a header, a malformed line
+    corpus = b">>graph6<<C~\r\nC~\rD~{\n\nD~{\n!!bad!!\nIgDskFWEG\n"
+    docs = []
+    for code, out, err in _both_routes(tmp_path, corpus, *argv):
+        assert (code, err) == (0, "")
+        docs.append(json.loads(out))
+        docs[-1].pop("seconds", None)
+    assert docs[0] == docs[1]
+    # only "\n" ends a line: the lone CR leaves "C~\rD~{" one malformed line 2
+    assert [e["line"] for e in docs[0]["parse_errors"]] == [2, 5]
+
+
+# a lone CR ends no line: "2 1\r0 1" is one line of four fields, not K2,
+# and "C~\rD~{" one line of two, so an edge-list header
+@pytest.mark.parametrize("data,code", [(b"2 1\r0 1\n", 2), (b"C~\rD~{\n", 2),
+                                       (b"3 2\r\n0 1\r\n\r\n1 2\r\n", 1),
+                                       (b">>graph6<<C~\r\n", 0)],
+                         ids=["lone-cr-edge-list", "lone-cr-graph6", "crlf-edge-list",
+                              "crlf-graph6"])
+def test_check_file_and_stdin_agree(tmp_path, data, code):
+    file_run, stdin_run = _both_routes(tmp_path, data, "check", "-", "--condition", "fan")
+    assert file_run == stdin_run
+    assert file_run[0] == code
+
+
+@pytest.mark.parametrize("argv", [("verify", "--corpus", "-", "--theorem", "thm1"),
+                                  ("hunt", "--r", "p7", "--s", "deer", "--corpus", "-"),
+                                  ("check", "-", "--condition", "fan")],
+                         ids=["verify", "hunt", "check"])
+def test_input_not_utf8_exit2_on_both_routes(tmp_path, argv):
+    file_run, stdin_run = _both_routes(tmp_path, b"C~\n\xff\xfe\n", *argv)
+    assert file_run == stdin_run
+    code, out, err = file_run
+    assert (code, out) == (2, "")
+    assert err.startswith("error: 'utf-8' codec can't decode") and err.count("\n") == 1
 
 
 def test_gen_into_closed_pipe_exits_quietly():

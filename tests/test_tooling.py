@@ -5,7 +5,8 @@ The benchmark's per-layer tracer patches program functions by name:
 make `bench/run.py --trace 1` fail, so every listed name must resolve.
 Every top-level name of the package, and every method and property of its
 classes, is used by the package or the benchmark, not only by the tests.
-The runtime imports nothing outside the standard library, `import fanheavy`
+The runtime imports nothing outside the standard library, every `open` in
+the package names its encoding and newline rule, `import fanheavy`
 alone loads no submodule, the README's CLI synopsis names the options
 and choices the parser accepts and the size caps of `gen`, and its count
 of the generator's canonical searches is the one a run makes.
@@ -121,6 +122,18 @@ def test_package_has_no_assert():
              for path in sorted((ROOT / "src" / "fanheavy").glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_package_open_names_encoding_and_newline():
+    # the locale's encoding and universal newlines would make a file read
+    # otherwise than stdin, which is read as strict UTF-8 split at "\n"
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((ROOT / "src" / "fanheavy").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "open"
+             and not {"encoding", "newline"} <= {kw.arg for kw in node.keywords}]
     assert found == []
 
 
