@@ -45,6 +45,8 @@ def _open_input(path: str):
     """An input file, or stdin for '-' (left open), as strict UTF-8 split at "\\n" only."""
     if path != "-":
         return open(path, encoding="utf-8", newline="\n")
+    if sys.stdin is None:
+        raise OSError("standard input is closed")
     sys.stdin.reconfigure(encoding="utf-8", newline="\n")
     return contextlib.nullcontext(sys.stdin)
 
@@ -297,6 +299,8 @@ def main(argv: list[str] | None = None) -> int:
         # argparse uses exit code 2 for usage errors already
         return int(exc.code or 0)
     try:
+        if sys.stdout is None:
+            raise OSError("standard output is closed")
         code = args.func(args)
         sys.stdout.flush()
     except BrokenPipeError:

@@ -95,15 +95,17 @@ def _cycle_search(g: Graph, start: int, req_mask: int) -> tuple[int, ...] | None
         unvisited = full & ~visited
         here = 1 << current
         usable = unvisited | here | (1 << start)
-        forced = 0
-        for v in iter_bits(missing):
-            near = adj[v] & usable
+        scan, forced = missing, 0
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            near = adj[low.bit_length() - 1] & usable
             if near.bit_count() < 2:
                 return False
             if near.bit_count() == 2 and near & here and current != start:
                 if forced:
                     return False  # two vertices would both have to follow current
-                forced = 1 << v
+                forced = low
         reach = g.reachable_from(here, unvisited | here)
         if missing & ~reach or not reach & adj[start]:
             return False

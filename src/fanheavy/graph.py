@@ -72,16 +72,15 @@ class Graph:
     # -- connectivity ----------------------------------------------------
 
     def reachable_from(self, start_mask: int, allowed_mask: int) -> int:
-        """Mask of vertices reachable from start_mask moving inside allowed_mask."""
-        seen = start_mask & allowed_mask
-        frontier = seen
-        while frontier:
-            nxt = 0
-            for w in iter_bits(frontier):
-                nxt |= self.adj[w]
-            nxt &= allowed_mask & ~seen
-            seen |= nxt
-            frontier = nxt
+        """Mask of vertices reachable from start_mask moving inside allowed_mask:
+        each vertex popped from `todo` adds its unseen allowed neighbours to `seen` and `todo`."""
+        adj = self.adj
+        seen = todo = start_mask & allowed_mask
+        while todo:
+            low = todo & -todo
+            new = adj[low.bit_length() - 1] & allowed_mask & ~seen
+            seen |= new
+            todo ^= low | new
         return seen
 
     def is_two_connected(self) -> bool:

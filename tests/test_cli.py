@@ -504,13 +504,16 @@ def test_n_takes_only_ascii_digits(capsys, argv):
     assert err.startswith("usage:") and f"--n: expected an integer >= 1, got '{argv[2]}'" in err
 
 
-def _run_cli_process(stdout, *argv, stdin=None, locale=None):
+def _run_cli_process(stdout, *argv, stdin=None, locale=None, closed=None):
+    """The command run in a fresh interpreter; `closed` names a descriptor
+    (0 or 1) that the child closes before it starts."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     if locale is not None:
         env["LC_ALL"] = locale
     return subprocess.run([sys.executable, "-m", "fanheavy.cli", *argv], input=stdin,
-                          stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60)
+                          stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60,
+                          preexec_fn=None if closed is None else lambda: os.close(closed))
 
 
 def _both_routes(tmp_path, data, *argv):
@@ -577,6 +580,32 @@ def test_gen_into_closed_pipe_exits_quietly():
         os.close(write_end)
     assert proc.returncode == 2
     assert proc.stderr == b""
+
+
+CORPUS = str(Path(__file__).resolve().parent / "data" / "graphs8_reduced.g6")
+
+
+@pytest.mark.parametrize("argv", [("check", "-", "--condition", "fan"),
+                                  ("verify", "--corpus", "-", "--theorem", "thm1"),
+                                  ("hunt", "--r", "p7", "--s", "deer", "--corpus", "-")],
+                         ids=["check", "verify", "hunt"])
+def test_closed_stdin_exits_2_with_one_error_line(argv):
+    proc = _run_cli_process(subprocess.DEVNULL, *argv, closed=0)
+    assert proc.returncode == 2
+    assert proc.stderr.decode() == "error: standard input is closed\n"
+
+
+@pytest.mark.parametrize("argv", [("gen", "--n", "3"),
+                                  ("witness", "--n", "16", "--emit", "graph6"),
+                                  ("check", CORPUS, "--condition", "fan"),
+                                  ("verify", "--corpus", CORPUS, "--theorem", "thm1"),
+                                  ("hunt", "--r", "p7", "--s", "deer", "--corpus", CORPUS)],
+                         ids=["gen", "witness", "check", "verify", "hunt"])
+def test_closed_stdout_exits_2_with_one_error_line(argv):
+    # the interpreter starts with sys.stdout None, so print() writes nothing
+    proc = _run_cli_process(None, *argv, closed=1)
+    assert proc.returncode == 2
+    assert proc.stderr.decode() == "error: standard output is closed\n"
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")

@@ -1,5 +1,7 @@
 import itertools
 import pickle
+import random
+from collections import deque
 
 import networkx as nx
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from fanheavy.graph import Graph, GraphError, path_graph
 
-from conftest import complete_graph, cycle_graph, to_nx
+from conftest import complete_graph, cycle_graph, random_graph, to_nx
 
 
 def graphs(max_n=8):
@@ -161,3 +163,33 @@ def test_two_connected_matches_deletion_on_every_small_graph():
         for mask in range(1 << len(pairs)):
             g = Graph(n, [p for k, p in enumerate(pairs) if mask >> k & 1])
             assert g.is_two_connected() == _two_connected_by_bitmask_deletion(g), g.adj
+
+
+def _reachable_by_set_bfs(g, start_mask, allowed_mask):
+    """Mask of the vertices a breadth-first search over vertex sets reaches
+    from the allowed vertices of start_mask, stepping on allowed ones only."""
+    allowed = {v for v in range(g.n) if allowed_mask >> v & 1}
+    seen = {v for v in allowed if start_mask >> v & 1}
+    queue = deque(seen)
+    while queue:
+        v = queue.popleft()
+        for w in allowed - seen:
+            if g.has_edge(v, w):
+                seen.add(w)
+                queue.append(w)
+    return sum(1 << v for v in seen)
+
+
+def test_reachable_from_matches_a_set_bfs():
+    rng = random.Random(74)
+    for _ in range(400):
+        g = random_graph(rng, rng.randint(0, 16))
+        n, full = g.n, g.full_mask()
+        for allowed in (rng.getrandbits(n), full, 0):
+            starts = [0, rng.getrandbits(n), full & ~allowed]
+            if n:
+                one = 1 << rng.randrange(n)
+                starts += [one, one | full & ~allowed]
+            for start in starts:
+                assert g.reachable_from(start, allowed) == _reachable_by_set_bfs(
+                    g, start, allowed), (g.adj, start, allowed)

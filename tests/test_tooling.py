@@ -67,6 +67,12 @@ def test_traced_benchmark_rechecks_every_result(workload):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert (result["correct"], result["failed"]) == (True, 0)
     assert result["attempted"] > 0
+    if workload == "cycles":
+        # the solvers' work counters: a search that stopped calling the
+        # traced Graph.reachable_from would read 0 here
+        for name in ("graph.reachable_from.calls", "cycles.find_hamilton_cycle.reach_calls",
+                     "cycles.find_cycle_through.reach_calls"):
+            assert result["metrics"][name]["value"] > 0, name
 
 
 def _top_level_names(tree):
